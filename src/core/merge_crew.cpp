@@ -87,11 +87,18 @@ MergeCrewStats ParallelMergeCrew::stats() const noexcept {
 }
 
 void ParallelMergeCrew::spawn_worker(std::size_t index) {
-  const std::uint64_t epoch = slots_[index].epoch.load(std::memory_order_acquire);
-  slots_[index].quarantined.store(false, std::memory_order_release);
+  WorkerSlot& slot = slots_[index];
+  const std::uint64_t epoch = slot.epoch.load(std::memory_order_acquire);
+  // The worker reacts only to dispatches issued after it took over the
+  // slot — a replacement must not re-execute its predecessor's
+  // generations. The snapshot is taken HERE, before the thread exists:
+  // taken on the new thread, a dispatch published before its first load
+  // would count as already seen and sit until the watchdog stole it.
+  const std::uint64_t seen = slot.generation.load(std::memory_order_acquire);
+  slot.quarantined.store(false, std::memory_order_release);
   workers_[index] = std::jthread(
-      [this, index, epoch](std::stop_token stop) {
-        worker_loop(index, epoch, stop);
+      [this, index, epoch, seen](std::stop_token stop) {
+        worker_loop(index, epoch, seen, stop);
       });
 }
 
@@ -214,12 +221,11 @@ void ParallelMergeCrew::execute(std::span<const SpliceTask> tasks) {
 }
 
 void ParallelMergeCrew::worker_loop(std::size_t index, std::uint64_t my_epoch,
-                                    std::stop_token stop) {
+                                    std::uint64_t seen, std::stop_token stop) {
   WorkerSlot& slot = slots_[index];
-  // React only to dispatches issued after this worker took over the slot:
-  // a replacement must not re-execute (or double-claim) its predecessor's
-  // generations.
-  std::uint64_t seen = slot.generation.load(std::memory_order_acquire);
+  // A dispatch may already be published by the time the new thread runs;
+  // `seen` (snapshotted at spawn) makes it visible on the first check.
+  HORSE_YIELD_POINT("crew.worker_start");
   std::uint32_t spins = 0;
   const auto superseded = [&]() noexcept {
     return slot.epoch.load(std::memory_order_acquire) != my_epoch;

@@ -175,8 +175,10 @@ class ParallelMergeCrew final : public MergeExecutor {
     std::size_t count = 0;
   };
 
+  /// `seen` is the slot's generation snapshotted by spawn_worker: the
+  /// worker executes every generation after it.
   void worker_loop(std::size_t index, std::uint64_t my_epoch,
-                   std::stop_token stop);
+                   std::uint64_t seen, std::stop_token stop);
   void spawn_worker(std::size_t index);
   /// Pull the slot's worker from rotation and (budget permitting) spawn a
   /// replacement at a new epoch. The old jthread is parked in the

@@ -94,18 +94,21 @@ util::Status Platform::pause_and_pool(ControlShard& shard,
   // uLL sandboxes pause through a HORSE engine so they get their queue
   // assignment, coalescing precompute, and 𝒫²𝒮ℳ index and the next kHorse
   // resume is fast-path-ready; plain sandboxes take the vanilla pause.
-  if (sandbox->config().ull) {
-    HORSE_RETURN_IF_ERROR(horse_affine(shard_index).pause(*sandbox));
-  } else {
-    HORSE_RETURN_IF_ERROR(vanilla_->pause(*sandbox));
-  }
   std::unique_ptr<vmm::Sandbox> rejected;
-  util::Status status =
-      shard.pool.put(function, std::move(sandbox), logical_now(), &rejected);
+  util::Status status = sandbox->config().ull
+                            ? horse_affine(shard_index).pause(*sandbox)
+                            : vanilla_->pause(*sandbox);
+  if (status.is_ok()) {
+    status =
+        shard.pool.put(function, std::move(sandbox), logical_now(), &rejected);
+  } else {
+    rejected = std::move(sandbox);
+  }
   if (!status.is_ok() && rejected != nullptr) {
-    // The pool refused (per-function cap): tear the sandbox down fully
-    // instead of silently dropping it — its vCPUs are parked on
-    // merge_vcpus and the ull manager may hold an index into them.
+    // The engine could not park it, or the pool refused it (per-function
+    // cap): tear the sandbox down fully instead of leaking it — its vCPUs
+    // may sit on merge_vcpus and the ull manager may hold an index into
+    // them. Either way the caller sees an eviction, counted here.
     destroy_pooled(shard, *rejected);
     ++shard.counters.pool_overflow_destroyed;
   }
@@ -260,79 +263,10 @@ util::Expected<InvocationRecord> Platform::invoke(FunctionId function,
                                                   workloads::Request request,
                                                   StartMode mode,
                                                   InvokeControls& controls) {
-  controls.reject = SubmissionReject::kNone;
-  const std::size_t shard_index = shard_of(function);
-  ControlShard& s = *shards_[shard_index];
-  const AdmissionConfig& admission = config_.admission;
-
-  // Admission gate 1 — expired deadline: the caller already gave up;
-  // running the function only wastes the shard's serial capacity.
-  if (controls.deadline != 0 && controls.now >= controls.deadline) {
-    controls.reject = SubmissionReject::kDeadlineExpired;
-    s.deadline_rejections.fetch_add(1, std::memory_order_relaxed);
-    return util::Status{util::StatusCode::kDeadlineExceeded,
-                        "invoke: deadline expired before start"};
-  }
-  // Admission gate 2 — shard occupancy high-water mark, checked BEFORE
-  // blocking on the shard mutex: an overloaded shard must refuse fast
-  // instead of growing its mutex convoy unboundedly.
-  if (admission.shard_high_water != 0 &&
-      s.inflight.load(std::memory_order_acquire) >= admission.shard_high_water) {
-    controls.reject = SubmissionReject::kShardOverload;
-    s.overload_rejections.fetch_add(1, std::memory_order_relaxed);
-    return util::Status{util::StatusCode::kResourceExhausted,
-                        "invoke: control shard above high-water occupancy"};
-  }
-
-  s.inflight.fetch_add(1, std::memory_order_acq_rel);
-  util::Expected<InvocationRecord> result =
-      util::Status{util::StatusCode::kInternal, "invoke: unreachable"};
-  {
-    // Same-function invocations serialise here (which is also what keeps a
-    // function's workload-implementation state single-threaded); functions
-    // on other shards proceed in parallel.
-    ShardLock lock(s.mutex, s.meter);
-
-    // Admission gate 3 — per-function circuit breaker (breakers live
-    // under the shard mutex; a function with no breaker is closed).
-    if (admission.breaker_enabled) {
-      auto it = s.breakers.find(function);
-      if (it != s.breakers.end() &&
-          !it->second.allow(controls.now, s.rng)) {
-        ++s.counters.breaker_rejections;
-        s.inflight.fetch_sub(1, std::memory_order_acq_rel);
-        controls.reject = SubmissionReject::kBreakerOpen;
-        return util::Status{util::StatusCode::kUnavailable,
-                            "invoke: circuit breaker open"};
-      }
-    }
-    if (admission.retry_budget_enabled) {
-      // Every admitted request funds the host's escalation budget.
-      retry_budget_.deposit();
-    }
-
-    result = invoke_on_shard(s, shard_index, function, std::move(request),
-                             mode, &controls);
-    if (result) {
-      ++s.counters.invocations;
-      // Count by the mode the invocation actually completed with: a
-      // ladder-demoted kHorse request that finished as a cold start is a
-      // cold start in the books.
-      switch (result->mode) {
-        case StartMode::kCold: ++s.counters.cold; break;
-        case StartMode::kRestore: ++s.counters.restore; break;
-        case StartMode::kWarm: ++s.counters.warm; break;
-        case StartMode::kHorse: ++s.counters.horse; break;
-      }
-      if (result->mode != result->requested) {
-        ++s.counters.degraded_invocations;
-      }
-    } else {
-      ++s.counters.failed;
-    }
-  }
-  s.inflight.fetch_sub(1, std::memory_order_acq_rel);
-  return result;
+  // A plain invocation is the one-stage segment of its function: no edges
+  // and no chain, so the caller's hop cursor is never touched.
+  const Segment segment{.stages = &function};
+  return admit_segment(segment, request, mode, controls);
 }
 
 namespace {
@@ -389,100 +323,47 @@ util::Expected<ChainRecord> Platform::invoke_chain(WorkflowId workflow,
   // the same chain plans identically.
   const std::vector<ChainSegment> plan = plan_fusion(spec, controls.hop);
   const util::Stopwatch chain_watch;
-  const StartMode requested = mode;
+  Segment segment{.stages = spec.stages.data(),
+                  .edges = spec.edges.data(),
+                  .num_stages = num_stages,
+                  .chain = &chain,
+                  .chain_watch = &chain_watch};
   bool first_segment = true;
-
-  // One deadline for the whole chain: remaining slack is re-evaluated
-  // before every hop against the caller's `now` plus the time this chain
-  // has measurably consumed so far.
-  const auto slack_expired = [&]() -> bool {
-    return controls.deadline != 0 &&
-           controls.now + chain_watch.elapsed() >= controls.deadline;
-  };
-  const auto refuse_deadline = [&](std::uint32_t hop) -> util::Status {
-    controls.reject = SubmissionReject::kDeadlineExpired;
-    shard(spec.stages[hop])
-        .deadline_rejections.fetch_add(1, std::memory_order_relaxed);
-    return util::Status{util::StatusCode::kDeadlineExceeded,
-                        "invoke_chain: deadline expired at hop " +
-                            std::to_string(hop)};
-  };
-  // Advance the hop cursor past a completed stage: plumb its response
-  // into the next stage's request, notify the caller's cursor callback,
-  // and note a kGated early stop.
-  const auto advance_hop = [&](const workloads::Response& response) {
-    const std::uint32_t done = controls.hop;
-    bool keep_going = true;
-    if (done + 1 < num_stages) {
-      keep_going = apply_edge(spec.edges[done], response, request);
+  // Run stages [controls.hop, end) as one segment; the executor advances
+  // the cursor past every stage whose body ran.
+  const auto run_to = [&](std::uint32_t end) -> util::Status {
+    segment.begin = controls.hop;
+    segment.end = end;
+    auto part = admit_segment(segment, request, mode, controls);
+    if (!part) {
+      return part.status();
     }
-    controls.hop = done + 1;
-    controls.hops_completed = controls.hop - chain.first_hop;
-    if (controls.on_hop) {
-      controls.on_hop(controls.hop,
-                      spec.stages[std::min(controls.hop, num_stages - 1)]);
-    }
-    if (!keep_going) {
-      chain.gated_early = true;
-    }
+    fold_segment_record(chain.record, *part, first_segment);
+    first_segment = false;
+    return util::Status::ok();
   };
 
-  const auto run = [&]() -> util::Expected<ChainRecord> {
-    for (const ChainSegment& segment : plan) {
-      if (controls.hop >= segment.end || chain.gated_early) {
-        continue;
-      }
-      if (slack_expired()) {
-        return refuse_deadline(controls.hop);
-      }
-      bool fused_done = false;
-      if (segment.fused) {
-        auto fused = invoke_fused_segment(spec, segment, request, mode,
-                                          controls, chain_watch, chain);
-        if (fused) {
-          fold_segment_record(chain.record, *fused, first_segment);
-          first_segment = false;
-          fused_done = true;
-        } else if (controls.reject != SubmissionReject::kNone) {
-          // Typed overload refusal: surfaces as the chain's outcome with
-          // the cursor at the frontier, like any mid-chain refusal.
-          return fused.status();
-        }
-        // Untyped failure (the segment's start ladder exhausted, or a
-        // re-pool failed mid-run): the SEGMENT is demoted to per-stage
-        // dispatch from the frontier — the chain itself keeps going
-        // through the full admission machinery below.
-      }
-      if (!fused_done) {
-        while (controls.hop < segment.end && !chain.gated_early) {
-          const std::uint32_t stage_hop = controls.hop;
-          if (slack_expired()) {
-            return refuse_deadline(stage_hop);
-          }
-          InvokeControls stage_controls;
-          stage_controls.now = controls.now + chain_watch.elapsed();
-          stage_controls.deadline = controls.deadline;
-          auto staged = invoke(spec.stages[stage_hop], request, requested,
-                               stage_controls);
-          if (!staged) {
-            controls.reject = stage_controls.reject;
-            return staged.status();
-          }
-          fold_segment_record(chain.record, *staged, first_segment);
-          first_segment = false;
-          ++chain.stages_executed;
-          ++chain.per_stage_dispatches;
-          advance_hop(staged->response);
-        }
-      }
-      if (chain.gated_early) {
-        break;
+  util::Status status;
+  for (const ChainSegment& planned : plan) {
+    if (!status.is_ok() || chain.gated_early) {
+      break;
+    }
+    // A fused run is one segment. A typed refusal is the chain's outcome;
+    // an untyped failure (its start ladder exhausted) demotes the SEGMENT
+    // to one-stage segments from the frontier, each through the full
+    // admission machinery — the chain keeps going.
+    if (planned.fused) {
+      status = run_to(planned.end);
+      if (!status.is_ok() && controls.reject == SubmissionReject::kNone) {
+        status = util::Status::ok();
       }
     }
-    return chain;
-  };
+    while (status.is_ok() && controls.hop < planned.end &&
+           !chain.gated_early) {
+      status = run_to(controls.hop + 1);
+    }
+  }
 
-  auto result = run();
   {
     // Chain-shaped bookkeeping lands on the shard of the stage the chain
     // ENTERED at, win or lose, so chains_invoked counts each routed chain
@@ -496,58 +377,78 @@ util::Expected<ChainRecord> Platform::invoke_chain(WorkflowId workflow,
       ++entry.counters.chains_gated_early;
     }
   }
-  return result;
+  if (!status.is_ok()) {
+    return status;
+  }
+  return chain;
 }
 
-util::Expected<InvocationRecord> Platform::invoke_fused_segment(
-    const WorkflowSpec& workflow, const ChainSegment& segment,
-    workloads::Request& request, StartMode mode, InvokeControls& controls,
-    const util::Stopwatch& chain_watch, ChainRecord& chain) {
-  const FunctionId entry = workflow.stages[segment.begin];
+util::Expected<InvocationRecord> Platform::admit_segment(
+    const Segment& segment, workloads::Request& request, StartMode mode,
+    InvokeControls& controls) {
+  controls.reject = SubmissionReject::kNone;
+  const FunctionId entry = segment.stages[segment.begin];
   const std::size_t shard_index = shard_of(entry);
   ControlShard& s = *shards_[shard_index];
   const AdmissionConfig& admission = config_.admission;
+  // A chain carries ONE deadline: each of its segments is admitted at the
+  // caller's `now` plus the time the chain has measurably consumed.
+  const util::Nanos now =
+      segment.chain_watch != nullptr
+          ? controls.now + segment.chain_watch->elapsed()
+          : controls.now;
 
-  // A fused segment is ONE admission unit, charged to its entry stage's
-  // shard — the same pre-lock high-water gate as invoke().
+  // Admission gate 1 — expired deadline: the caller already gave up;
+  // running the segment only wastes the shard's serial capacity.
+  if (controls.deadline != 0 && now >= controls.deadline) {
+    controls.reject = SubmissionReject::kDeadlineExpired;
+    s.deadline_rejections.fetch_add(1, std::memory_order_relaxed);
+    return util::Status{util::StatusCode::kDeadlineExceeded,
+                        "invoke: deadline expired before stage " +
+                            std::to_string(segment.begin)};
+  }
+  // Admission gate 2 — shard occupancy high-water mark, checked BEFORE
+  // blocking on the shard mutex: an overloaded shard must refuse fast
+  // instead of growing its mutex convoy unboundedly.
   if (admission.shard_high_water != 0 &&
-      s.inflight.load(std::memory_order_acquire) >=
-          admission.shard_high_water) {
+      s.inflight.load(std::memory_order_acquire) >= admission.shard_high_water) {
     controls.reject = SubmissionReject::kShardOverload;
     s.overload_rejections.fetch_add(1, std::memory_order_relaxed);
-    return util::Status{
-        util::StatusCode::kResourceExhausted,
-        "invoke_chain: control shard above high-water occupancy"};
+    return util::Status{util::StatusCode::kResourceExhausted,
+                        "invoke: control shard above high-water occupancy"};
   }
 
   s.inflight.fetch_add(1, std::memory_order_acq_rel);
   util::Expected<InvocationRecord> result =
-      util::Status{util::StatusCode::kInternal, "invoke_chain: unreachable"};
+      util::Status{util::StatusCode::kInternal, "invoke: unreachable"};
   {
+    // Same-function invocations serialise here (which is also what keeps a
+    // function's workload-implementation state single-threaded); functions
+    // on other shards proceed in parallel.
     ShardLock lock(s.mutex, s.meter);
 
-    // Entry-function circuit breaker, evaluated at the chain's current
-    // (elapsed-adjusted) timestamp.
+    // Admission gate 3 — the entry function's circuit breaker (breakers
+    // live under the shard mutex; a function with no breaker is closed).
     if (admission.breaker_enabled) {
       auto it = s.breakers.find(entry);
-      if (it != s.breakers.end() &&
-          !it->second.allow(controls.now + chain_watch.elapsed(), s.rng)) {
+      if (it != s.breakers.end() && !it->second.allow(now, s.rng)) {
         ++s.counters.breaker_rejections;
         s.inflight.fetch_sub(1, std::memory_order_acq_rel);
         controls.reject = SubmissionReject::kBreakerOpen;
         return util::Status{util::StatusCode::kUnavailable,
-                            "invoke_chain: circuit breaker open"};
+                            "invoke: circuit breaker open"};
       }
     }
     if (admission.retry_budget_enabled) {
+      // Every admitted request funds the host's escalation budget.
       retry_budget_.deposit();
     }
 
-    result = fused_segment_on_shard(s, shard_index, workflow, segment, request,
-                                    mode, controls, chain_watch, chain);
+    result = run_segment(s, shard_index, segment, request, mode, now, controls);
     if (result) {
-      // The whole fused segment books as ONE invocation, by the mode its
-      // single start actually completed with.
+      // A segment books as ONE invocation, by the mode its single start
+      // actually completed with: a ladder-demoted kHorse request that
+      // finished as a cold start is a cold start in the books.
       ++s.counters.invocations;
       switch (result->mode) {
         case StartMode::kCold: ++s.counters.cold; break;
@@ -566,13 +467,11 @@ util::Expected<InvocationRecord> Platform::invoke_fused_segment(
   return result;
 }
 
-util::Expected<InvocationRecord> Platform::fused_segment_on_shard(
-    ControlShard& shard, std::size_t shard_index, const WorkflowSpec& workflow,
-    const ChainSegment& segment, workloads::Request& request, StartMode mode,
-    InvokeControls& controls, const util::Stopwatch& chain_watch,
-    ChainRecord& chain) {
-  const FunctionId entry = workflow.stages[segment.begin];
-  const auto num_stages = static_cast<std::uint32_t>(workflow.stages.size());
+util::Expected<InvocationRecord> Platform::run_segment(
+    ControlShard& shard, std::size_t shard_index, const Segment& segment,
+    workloads::Request& request, StartMode mode, util::Nanos now,
+    InvokeControls& controls) {
+  const FunctionId entry = segment.stages[segment.begin];
   const auto spec_lookup = registry_.find(entry);
   if (!spec_lookup) {
     return spec_lookup.status();
@@ -581,19 +480,22 @@ util::Expected<InvocationRecord> Platform::fused_segment_on_shard(
   const AdmissionConfig& admission = config_.admission;
 
   // One keep-alive arrival, for the ENTRY function only: interior stages
-  // never take a pool slot in a fused run, so recording them would
+  // of a fused run never take a pool slot, so recording them would
   // inflate their pre-warm ranking without a pooled sandbox ever serving
   // them.
   shard.keep_alive.record_invocation(entry, logical_now());
 
+  // The breaker watches resume outcomes at the warm/horse rungs: a pool
+  // miss (kUnavailable) is a capacity signal, not a health signal, and
+  // must not trip it — only actual resume failures count.
   const auto breaker_for = [&]() -> CircuitBreaker& {
     return shard.breakers.try_emplace(entry, admission.breaker).first->second;
   };
 
-  // --- segment start ladder: the per-function ladder verbatim, applied
-  // to the segment's entry stage. A demotion demotes THIS SEGMENT only
-  // (it still runs fused, just from a colder start); the caller's later
-  // segments start at the originally requested mode again.
+  // --- start ladder: requested mode first, demoting one rung per failure.
+  // A demotion demotes THIS segment only (a fused run still runs fused,
+  // just from a colder start); a chain's later segments start at the
+  // requested mode again.
   const StartMode requested = mode;
   const DegradationPolicy& ladder = config_.degradation;
   const util::Backoff backoff{
@@ -615,14 +517,14 @@ util::Expected<InvocationRecord> Platform::fused_segment_on_shard(
         mode == StartMode::kWarm || mode == StartMode::kHorse;
     if (started) {
       if (admission.breaker_enabled && resume_rung) {
-        breaker_for().on_success(controls.now);
+        breaker_for().on_success(now);
       }
       sandbox = std::move(*started);
       break;
     }
     if (admission.breaker_enabled && resume_rung &&
         started.status().code() != util::StatusCode::kUnavailable) {
-      breaker_for().on_failure(controls.now, shard.rng);
+      breaker_for().on_failure(now, shard.rng);
     }
     const bool exhausted = !ladder.enabled || attempt >= ladder.max_attempts ||
                            mode == StartMode::kCold;
@@ -630,15 +532,21 @@ util::Expected<InvocationRecord> Platform::fused_segment_on_shard(
       return started.status();
     }
     const StartMode colder = next_colder(mode);
+    // Escalating to kRestore/kCold is the expensive half of the ladder —
+    // a restore storm is exactly what saturates a host during a spike.
+    // The host-wide budget (funded by admitted requests) bounds it in
+    // aggregate: exhausted budget turns the escalation into an immediate
+    // typed rejection instead of a pile-on.
     if (admission.retry_budget_enabled &&
         (colder == StartMode::kRestore || colder == StartMode::kCold) &&
         !retry_budget_.try_withdraw()) {
       ++shard.counters.budget_denied_escalations;
       controls.reject = SubmissionReject::kRetryBudgetExhausted;
-      return util::Status{
-          util::StatusCode::kResourceExhausted,
-          "invoke_chain: retry budget exhausted, escalation denied"};
+      return util::Status{util::StatusCode::kResourceExhausted,
+                          "invoke: retry budget exhausted, escalation denied"};
     }
+    // Demote one rung and model a capped full-jitter backoff (recorded,
+    // not slept: the logical clock is caller-driven).
     mode = colder;
     ++fallbacks;
     ++shard.counters.rung_fallbacks;
@@ -648,66 +556,82 @@ util::Expected<InvocationRecord> Platform::fused_segment_on_shard(
   record.init_modelled += backoff_total;
   record.init_time += backoff_total;
 
-  // --- run the segment's stage bodies back-to-back in the one resumed
+  // --- run the segment's stage bodies back-to-back in the one started
   // sandbox, handing each stage's output to the next via edge plumbing.
   // Interior bodies run under the ENTRY stage's shard mutex (never a
   // nested shard lock), so an interior function may execute here
   // concurrently with its own standalone invocations on its home shard —
   // the fusion-safety rule callers accept by registering a workflow (see
   // DESIGN.md §5.8).
-  while (controls.hop < segment.end) {
-    const std::uint32_t hop = controls.hop;
-    // Per-hop slack inside the fused run too: a chain must not keep
-    // burning stages after its one deadline has passed. The sandbox is
-    // healthy, so it returns to the pool; the refusal is typed.
-    if (hop != segment.begin && controls.deadline != 0 &&
-        controls.now + chain_watch.elapsed() >= controls.deadline) {
-      HORSE_RETURN_IF_ERROR(
-          pause_and_pool(shard, shard_index, entry, std::move(sandbox)));
-      controls.reject = SubmissionReject::kDeadlineExpired;
-      shard.deadline_rejections.fetch_add(1, std::memory_order_relaxed);
-      return util::Status{util::StatusCode::kDeadlineExceeded,
-                          "invoke_chain: deadline expired mid-segment at hop " +
-                              std::to_string(hop)};
-    }
+  util::Status stopped;
+  for (std::uint32_t hop = segment.begin; hop < segment.end; ++hop) {
     const FunctionSpec* stage_spec = &entry_spec;
     if (hop != segment.begin) {
-      const auto stage_lookup = registry_.find(workflow.stages[hop]);
+      // Per-hop slack inside a fused run too: a chain must not keep
+      // burning stages after its one deadline has passed. The sandbox is
+      // healthy, so it still returns to the pool; the refusal is typed.
+      if (controls.deadline != 0 &&
+          controls.now + segment.chain_watch->elapsed() >= controls.deadline) {
+        controls.reject = SubmissionReject::kDeadlineExpired;
+        shard.deadline_rejections.fetch_add(1, std::memory_order_relaxed);
+        stopped = util::Status{
+            util::StatusCode::kDeadlineExceeded,
+            "invoke_chain: deadline expired mid-segment at hop " +
+                std::to_string(hop)};
+        break;
+      }
+      // Stage ids are validated at add_workflow, so this is effectively
+      // unreachable — but pool the healthy sandbox before surfacing.
+      const auto stage_lookup = registry_.find(segment.stages[hop]);
       if (!stage_lookup) {
-        // Stage ids are validated at add_workflow, so this is effectively
-        // unreachable — but pool the healthy sandbox before surfacing.
-        HORSE_RETURN_IF_ERROR(
-            pause_and_pool(shard, shard_index, entry, std::move(sandbox)));
-        return stage_lookup.status();
+        stopped = stage_lookup.status();
+        break;
       }
       stage_spec = *stage_lookup;
     }
     util::Stopwatch exec_watch;
     record.response = stage_spec->implementation->invoke(request);
     record.exec_time += exec_watch.elapsed();
-    ++chain.stages_executed;
-    bool keep_going = true;
-    if (hop + 1 < num_stages) {
-      keep_going = apply_edge(workflow.edges[hop], record.response, request);
+    if (segment.chain == nullptr) {
+      continue;  // a plain invoke() has no cursor to advance
     }
+    // Advance the chain's hop cursor past the completed stage: plumb its
+    // response into the next stage's request, tell the caller's cursor
+    // callback, and stop on a kGated edge.
+    ChainRecord& chain = *segment.chain;
+    ++chain.stages_executed;
+    const bool keep_going =
+        hop + 1 == segment.num_stages ||
+        apply_edge(segment.edges[hop], record.response, request);
     controls.hop = hop + 1;
     controls.hops_completed = controls.hop - chain.first_hop;
     if (controls.on_hop) {
       controls.on_hop(controls.hop,
-                      workflow.stages[std::min(controls.hop, num_stages - 1)]);
+                      segment.stages[std::min(controls.hop,
+                                              segment.num_stages - 1)]);
     }
     if (!keep_going) {
       chain.gated_early = true;
       break;
     }
   }
-  ++chain.fused_segments;
-  ++shard.counters.fused_segments;
 
-  // One re-pause for the whole segment: keep-alive pools the sandbox
-  // under the entry function, where the one pool take came from.
-  HORSE_RETURN_IF_ERROR(
-      pause_and_pool(shard, shard_index, entry, std::move(sandbox)));
+  // One re-park for the whole segment, under the entry function where the
+  // one pool take came from. Bodies have run, so a re-park error is an
+  // eviction (pause_and_pool tore the sandbox down and counted it), never
+  // a failed call.
+  (void)pause_and_pool(shard, shard_index, entry, std::move(sandbox));
+  if (!stopped.is_ok()) {
+    return stopped;
+  }
+  if (segment.chain != nullptr) {
+    if (segment.end - segment.begin > 1) {
+      ++segment.chain->fused_segments;
+      ++shard.counters.fused_segments;
+    } else {
+      ++segment.chain->per_stage_dispatches;
+    }
+  }
   return record;
 }
 
@@ -814,101 +738,6 @@ util::Expected<std::unique_ptr<vmm::Sandbox>> Platform::try_start_on(
     }
   }
   return util::Status{util::StatusCode::kInternal, "invoke: unknown mode"};
-}
-
-util::Expected<InvocationRecord> Platform::invoke_on_shard(
-    ControlShard& shard, std::size_t shard_index, FunctionId function,
-    workloads::Request request, StartMode mode, InvokeControls* controls) {
-  const auto spec_lookup = registry_.find(function);
-  if (!spec_lookup) {
-    return spec_lookup.status();
-  }
-  const FunctionSpec& spec = **spec_lookup;
-  const AdmissionConfig& admission = config_.admission;
-
-  shard.keep_alive.record_invocation(function, logical_now());
-
-  // The breaker watches resume outcomes at the warm/horse rungs: a pool
-  // miss (kUnavailable) is a capacity signal, not a health signal, and
-  // must not trip it — only actual resume failures count.
-  const auto breaker_for = [&]() -> CircuitBreaker& {
-    return shard.breakers.try_emplace(function, admission.breaker)
-        .first->second;
-  };
-
-  // --- start ladder: requested mode first, demoting one rung per failure -
-  const StartMode requested = mode;
-  const DegradationPolicy& ladder = config_.degradation;
-  const util::Backoff backoff{
-      util::BackoffPolicy{ladder.retry_backoff_base, ladder.retry_backoff_cap}};
-  InvocationRecord record;
-  std::unique_ptr<vmm::Sandbox> sandbox;
-  std::uint32_t fallbacks = 0;
-  util::Nanos backoff_total = 0;
-  std::size_t attempt = 0;
-  while (true) {
-    ++attempt;
-    record = {};
-    record.requested = requested;
-    record.mode = mode;
-    record.fallbacks = fallbacks;
-    auto started =
-        try_start_on(shard, shard_index, function, spec, mode, record);
-    const bool resume_rung =
-        mode == StartMode::kWarm || mode == StartMode::kHorse;
-    if (started) {
-      if (admission.breaker_enabled && resume_rung) {
-        breaker_for().on_success(controls != nullptr ? controls->now : 0);
-      }
-      sandbox = std::move(*started);
-      break;
-    }
-    if (admission.breaker_enabled && resume_rung &&
-        started.status().code() != util::StatusCode::kUnavailable) {
-      breaker_for().on_failure(controls != nullptr ? controls->now : 0,
-                               shard.rng);
-    }
-    const bool exhausted = !ladder.enabled || attempt >= ladder.max_attempts ||
-                           mode == StartMode::kCold;
-    if (exhausted) {
-      return started.status();
-    }
-    const StartMode colder = next_colder(mode);
-    // Escalating to kRestore/kCold is the expensive half of the ladder —
-    // a restore storm is exactly what saturates a host during a spike.
-    // The host-wide budget (funded by admitted requests) bounds it in
-    // aggregate: exhausted budget turns the escalation into an immediate
-    // typed rejection instead of a pile-on.
-    if (admission.retry_budget_enabled &&
-        (colder == StartMode::kRestore || colder == StartMode::kCold) &&
-        !retry_budget_.try_withdraw()) {
-      ++shard.counters.budget_denied_escalations;
-      if (controls != nullptr) {
-        controls->reject = SubmissionReject::kRetryBudgetExhausted;
-      }
-      return util::Status{util::StatusCode::kResourceExhausted,
-                          "invoke: retry budget exhausted, escalation denied"};
-    }
-    // Demote one rung and model a capped full-jitter backoff (recorded,
-    // not slept: the logical clock is caller-driven).
-    mode = colder;
-    ++fallbacks;
-    ++shard.counters.rung_fallbacks;
-    backoff_total += backoff.delay(attempt, shard.rng);
-  }
-  record.retry_backoff = backoff_total;
-  record.init_modelled += backoff_total;
-  record.init_time += backoff_total;
-
-  // Run the function body for real.
-  util::Stopwatch exec_watch;
-  record.response = spec.implementation->invoke(request);
-  record.exec_time = exec_watch.elapsed();
-
-  // Keep-alive: re-pause and pool for the next trigger.
-  HORSE_RETURN_IF_ERROR(
-      pause_and_pool(shard, shard_index, function, std::move(sandbox)));
-  return record;
 }
 
 PlatformCounters Platform::counters() const {

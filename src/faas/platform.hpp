@@ -18,7 +18,10 @@
 //
 // After each invocation the sandbox is re-paused and returned to the warm
 // pool (keep-alive); pausing always goes through a HORSE engine so uLL
-// sandboxes are immediately fast-path-ready again.
+// sandboxes are immediately fast-path-ready again. A re-park that fails
+// (engine pause error, pool at its per-function cap) is an eviction: the
+// sandbox is torn down and counted, and the invocation whose body already
+// ran still succeeds.
 //
 // ── Sharded control plane ───────────────────────────────────────────────
 //
@@ -395,13 +398,13 @@ class Platform {
   /// controls.hop. The fusion planner partitions the remaining stages
   /// into maximal runs of adjacent uLL-fusable stages; each fused run
   /// executes as a SINGLE warm/horse resume (one pool take, one resume
-  /// prologue, stage outputs handed off in-sandbox), and everything else
-  /// falls back to ordinary per-stage invoke() through the full
-  /// admission machinery. Remaining deadline slack is re-checked before
-  /// every hop; a mid-chain refusal or failure surfaces with controls.hop
-  /// at the frontier so the caller can re-dispatch without re-executing
-  /// completed stages. The resume ladder demotes a failing SEGMENT, never
-  /// the whole chain.
+  /// prologue, stage outputs handed off in-sandbox), and every other
+  /// stage runs as a one-stage segment — exactly what invoke() runs —
+  /// through the full admission machinery. Remaining deadline slack is
+  /// re-checked before every hop; a mid-chain refusal or failure surfaces
+  /// with controls.hop at the frontier so the caller can re-dispatch
+  /// without re-executing completed stages. The resume ladder demotes a
+  /// failing SEGMENT, never the whole chain.
   [[nodiscard]] util::Expected<ChainRecord> invoke_chain(
       WorkflowId workflow, workloads::Request request, StartMode mode,
       InvokeControls& controls);
@@ -550,12 +553,6 @@ class Platform {
                               std::unique_ptr<vmm::Sandbox> sandbox);
   util::Status ensure_snapshot_on(ControlShard& shard, std::size_t shard_index,
                                   FunctionId function);
-  util::Expected<InvocationRecord> invoke_on_shard(ControlShard& shard,
-                                                   std::size_t shard_index,
-                                                   FunctionId function,
-                                                   workloads::Request request,
-                                                   StartMode mode,
-                                                   InvokeControls* controls);
 
   /// One rung: acquire + initialise a runnable sandbox for `mode`,
   /// filling the init/resume fields of `record`. Failure leaves the
@@ -565,26 +562,44 @@ class Platform {
       ControlShard& shard, std::size_t shard_index, FunctionId function,
       const FunctionSpec& spec, StartMode mode, InvocationRecord& record);
 
-  /// Admission wrapper for one fused segment: entry-shard high-water and
-  /// breaker gates, then fused_segment_on_shard under the entry shard's
-  /// mutex. A typed refusal sets controls.reject; an untyped failure lets
-  /// invoke_chain fall back to per-stage dispatch of the same stages.
-  util::Expected<InvocationRecord> invoke_fused_segment(
-      const WorkflowSpec& workflow, const ChainSegment& segment,
-      workloads::Request& request, StartMode mode, InvokeControls& controls,
-      const util::Stopwatch& chain_watch, ChainRecord& chain);
+  /// Stages [begin, end) of a linear chain, run in ONE sandbox: one
+  /// admission and one start ladder for the entry stage stages[begin],
+  /// every body back-to-back, then one re-park. A plain invoke() is the
+  /// one-stage segment of its function, with no chain attached.
+  struct Segment {
+    const FunctionId* stages = nullptr;
+    /// edges[i] plumbs stages[i] → stages[i+1]; read only with a chain.
+    const WorkflowEdge* edges = nullptr;
+    std::uint32_t num_stages = 1;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 1;
+    /// The chain this segment advances (hop cursor, on_hop, stage tallies)
+    /// and the clock its one deadline is measured on; both null for a
+    /// plain invoke().
+    ChainRecord* chain = nullptr;
+    const util::Stopwatch* chain_watch = nullptr;
+  };
 
-  /// The fused-execution path proper (entry shard mutex held): one start
-  /// ladder for the segment's entry stage, then every stage body in the
-  /// segment back-to-back inside that one sandbox with edge plumbing
-  /// between them, one re-pause at the end. Only the ENTRY stage records
-  /// a keep-alive arrival — interior stages never take a pool slot, so
-  /// counting them would inflate their pre-warm ranking.
-  util::Expected<InvocationRecord> fused_segment_on_shard(
-      ControlShard& shard, std::size_t shard_index,
-      const WorkflowSpec& workflow, const ChainSegment& segment,
-      workloads::Request& request, StartMode mode, InvokeControls& controls,
-      const util::Stopwatch& chain_watch, ChainRecord& chain);
+  /// Admission for one segment, charged to its entry stage's shard: the
+  /// deadline and pre-lock high-water gates, then under the shard mutex
+  /// the entry function's breaker, the retry-budget deposit, run_segment,
+  /// and the per-mode counters (a segment books as ONE invocation). A
+  /// typed refusal sets controls.reject.
+  util::Expected<InvocationRecord> admit_segment(const Segment& segment,
+                                                 workloads::Request& request,
+                                                 StartMode mode,
+                                                 InvokeControls& controls);
+
+  /// The segment executor (entry shard mutex held): the start ladder for
+  /// the entry stage, the stage bodies with the edge plumbing and hop
+  /// advance between them, one pause_and_pool. Only the ENTRY stage
+  /// records a keep-alive arrival — interior stages never take a pool
+  /// slot, so counting them would inflate their pre-warm ranking. `now` is
+  /// the admission timestamp breaker transitions are recorded at.
+  util::Expected<InvocationRecord> run_segment(
+      ControlShard& shard, std::size_t shard_index, const Segment& segment,
+      workloads::Request& request, StartMode mode, util::Nanos now,
+      InvokeControls& controls);
 
   /// Health bookkeeping for a pooled sandbox whose resume failed: strike
   /// its failure counter; quarantine (untrack + destroy) at the

@@ -5,6 +5,46 @@
 
 namespace horse::trace {
 
+namespace {
+
+/// Largest rate drawn by one inversion: exp(-rate) stays a normal double
+/// well past it (it underflows to 0 near 745, and the search then runs to
+/// its cap).
+constexpr double kMaxInversionRate = 700.0;
+
+/// One Poisson draw by inversion (sequential search from exp(-rate)).
+std::uint32_t poisson_inversion(double rate, util::Xoshiro256& rng) {
+  std::uint32_t count = 0;
+  double p = std::exp(-rate);
+  double cumulative = p;
+  const double u = rng.uniform01();
+  while (u > cumulative && count < 100000) {
+    ++count;
+    p *= rate / static_cast<double>(count);
+    cumulative += p;
+  }
+  return count;
+}
+
+/// Poisson draw at any rate. Rates up to kMaxInversionRate take exactly
+/// one inversion (so their RNG stream is unchanged); higher rates sum
+/// independent draws over equal chunks of at most kMaxInversionRate,
+/// which is again Poisson at the full rate.
+std::uint32_t poisson(double rate, util::Xoshiro256& rng) {
+  if (rate <= kMaxInversionRate) {
+    return poisson_inversion(rate, rng);
+  }
+  const auto chunks =
+      static_cast<std::uint32_t>(std::ceil(rate / kMaxInversionRate));
+  std::uint32_t count = 0;
+  for (std::uint32_t c = 0; c < chunks; ++c) {
+    count += poisson_inversion(rate / chunks, rng);
+  }
+  return count;
+}
+
+}  // namespace
+
 util::Nanos DurationSampler::sample() {
   if (rng_.uniform01() < params_.tail_fraction) {
     return static_cast<util::Nanos>(rng_.bounded_pareto(
@@ -34,21 +74,11 @@ std::vector<FunctionRow> SyntheticAzureTrace::generate_rows() const {
 
     row.per_minute.reserve(params_.num_minutes);
     for (std::uint32_t m = 0; m < params_.num_minutes; ++m) {
-      // Bursty per-minute rate, then a Poisson draw at that rate
-      // (inversion by sequential search is fine at these magnitudes).
+      // Bursty per-minute rate, then a Poisson draw at that rate.
       const double jitter =
           1.0 + params_.rate_jitter * (2.0 * rng.uniform01() - 1.0);
       const double rate = base_rate * (jitter < 0.05 ? 0.05 : jitter);
-      std::uint32_t count = 0;
-      double p = std::exp(-rate);
-      double cumulative = p;
-      const double u = rng.uniform01();
-      while (u > cumulative && count < 100000) {
-        ++count;
-        p *= rate / static_cast<double>(count);
-        cumulative += p;
-      }
-      row.per_minute.push_back(count);
+      row.per_minute.push_back(poisson(rate, rng));
     }
     rows.push_back(std::move(row));
   }

@@ -277,6 +277,35 @@ TEST_F(WorkflowPlatformTest, FusedChainRunsAsSingleResume) {
   EXPECT_EQ(platform.warm_pool().available(spec.stages[2]), 0u);
 }
 
+TEST_F(WorkflowPlatformTest, FusedSegmentSucceedsWhenRepoolIsRejected) {
+  PlatformConfig config = make_config();
+  config.warm_pool.max_per_function = 1;
+  Platform platform(config);
+  const WorkflowId workflow = register_fused_chain(platform);
+  const WorkflowSpec& spec = **platform.registry().find_workflow(workflow);
+  const FunctionId entry = spec.stages.front();
+  // The entry's pool is already at its cap, so the cold-started fused
+  // segment cannot re-park its sandbox after the bodies ran: that is an
+  // eviction, and the chain still reports success.
+  ASSERT_TRUE(platform.provision(entry, 1).is_ok());
+
+  const auto chain = platform.invoke_chain(
+      workflow, request_with_header("pkt"), StartMode::kCold);
+  ASSERT_TRUE(chain.has_value());
+  EXPECT_EQ(chain->stages_executed, 3u);
+  EXPECT_EQ(chain->fused_segments, 1u);
+  EXPECT_EQ(chain->record.response.rewritten_header, "pkt|wf-a|wf-b|wf-c");
+
+  const PlatformCounters counters = platform.counters();
+  EXPECT_EQ(counters.fused_segments, 1u);
+  EXPECT_EQ(counters.failed, 0u);
+  EXPECT_EQ(counters.invocations, 1u);
+  EXPECT_EQ(counters.cold, 1u);
+  EXPECT_EQ(counters.pool_overflow_destroyed, 1u);
+  EXPECT_EQ(counters.chain_fallback_stages, 0u);
+  EXPECT_EQ(platform.warm_pool().available(entry), 1u);
+}
+
 TEST_F(WorkflowPlatformTest, FusedSegmentCountsOneArrivalForEntryOnly) {
   Platform platform(make_config());
   const WorkflowId workflow = register_fused_chain(platform);

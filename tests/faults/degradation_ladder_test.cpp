@@ -420,15 +420,18 @@ TEST_F(PlatformLadderTest, StaleIndexDegradesResumeWithoutDemotion) {
 }
 
 TEST_F(PlatformLadderTest, ParkRejectionTearsDownSandboxProperly) {
-  // The post-execution re-pool is NOT ladder material: a park rejection
-  // fails the invocation, but the sandbox must be torn down fully (no
-  // leaked engine tracking) and counted.
+  // The post-execution re-pool is NOT ladder material: the body already
+  // ran, so a park rejection is an eviction, not a failure. The call
+  // succeeds, and the sandbox must be torn down fully (no leaked engine
+  // tracking) and counted.
   auto fault = ScopedFault::nth("warm_pool.park.reject", 1);
   const auto record =
       platform_.invoke(function_, request(), faas::StartMode::kCold);
-  EXPECT_FALSE(record.has_value());
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->mode, faas::StartMode::kCold);
   const auto counters = platform_.counters();
-  EXPECT_EQ(counters.failed, 1u);
+  EXPECT_EQ(counters.failed, 0u);
+  EXPECT_EQ(counters.invocations, 1u);
   EXPECT_EQ(counters.pool_overflow_destroyed, 1u);
   EXPECT_EQ(platform_.warm_pool().available(function_), 0u);
 

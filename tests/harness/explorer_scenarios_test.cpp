@@ -1,5 +1,5 @@
 // Interleaving-explorer scenarios for the concurrency-sensitive pieces of
-// the resume path. Four positive scenarios assert that what HORSE claims
+// the resume path. The positive scenarios assert that what HORSE claims
 // is safe stays safe under adversarial preemption; the negative control
 // proves the harness has teeth by feeding it the exact bug class the
 // 𝒫²𝒮ℳ disjointness argument exists to rule out — two splice tasks
@@ -8,9 +8,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/merge_crew.hpp"
@@ -22,7 +25,7 @@
 #include "util/epoch.hpp"
 #include "util/spinlock.hpp"
 #include "util/status.hpp"
-#include "util/thread_pool.hpp"
+#include "util/time.hpp"
 #include "util/yield_point.hpp"
 #include "vmm/sandbox.hpp"
 
@@ -259,12 +262,12 @@ TEST(ExplorerScenarioTest, IndexRebuildRacingInvalidatingEnqueue) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 3 — SpinLock / ThreadPool handoff.
+// Scenario 3 — SpinLock / thread-pool handoff.
 //
 // Cooperative half: three threads hand a Spinlock around with a yield
 // point inside the critical section — mutual exclusion must hold at every
 // explored preemption. Free-running half (exercised by the TSan preset):
-// a real ThreadPool hammers a lock-protected RunQueue.
+// a fixed pool of std::jthreads hammers a lock-protected RunQueue.
 // ---------------------------------------------------------------------------
 
 util::Status run_spinlock_handoff(const ExplorerOptions& options) {
@@ -323,31 +326,96 @@ TEST(ExplorerScenarioTest, ThreadPoolSpinlockHandoffFreeRunning) {
   for (std::size_t i = 0; i < kTasks; ++i) {
     storage.push_back(make_vcpu(static_cast<sched::Credit>(i % 17)));
   }
+  constexpr std::size_t kWorkers = 4;
   sched::RunQueue b(0);
   std::atomic<std::size_t> executed{0};
   {
-    util::ThreadPool pool(4);
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      sched::Vcpu* vcpu = storage[i].get();
-      pool.submit([&b, &executed, vcpu] {
-        {
-          util::LockGuard guard(b.lock());
-          b.insert_sorted(*vcpu);
+    // Worker w takes tasks w, w + kWorkers, ...; the jthreads join here.
+    std::vector<std::jthread> pool;
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+      pool.emplace_back([&, w] {
+        for (std::size_t i = w; i < kTasks; i += kWorkers) {
+          sched::Vcpu& vcpu = *storage[i];
+          {
+            util::LockGuard guard(b.lock());
+            b.insert_sorted(vcpu);
+          }
+          b.update_load_enqueue();
+          {
+            util::LockGuard guard(b.lock());
+            b.remove(vcpu);
+          }
+          executed.fetch_add(1);
         }
-        b.update_load_enqueue();
-        {
-          util::LockGuard guard(b.lock());
-          b.remove(*vcpu);
-        }
-        executed.fetch_add(1);
       });
     }
-    pool.wait_idle();
   }
   EXPECT_EQ(executed.load(), kTasks);
   EXPECT_EQ(b.size(), 0u);
   EXPECT_GT(b.load(), 0.0);
   EXPECT_TRUE(b.check_invariants().is_ok());
+}
+
+// ---------------------------------------------------------------------------
+// Scenario 3b — merge-crew spawn vs. first dispatch.
+//
+// A freshly spawned crew worker must execute a dispatch published before
+// its first generation check. This scenario enters that window on every
+// run instead of sampling for it: a yield hook parks the worker at
+// crew.worker_start until the dispatcher reaches crew.wait_complete, which
+// it only does after the generation bump. A worker that snapshotted its
+// "already seen" generation on its own thread would count the dispatch as
+// seen and leave it for the watchdog to steal.
+// ---------------------------------------------------------------------------
+
+std::atomic<bool> g_first_dispatch_published{false};
+
+void park_worker_until_published(const char* site) noexcept {
+  if (std::strcmp(site, "crew.wait_complete") == 0) {
+    g_first_dispatch_published.store(true, std::memory_order_release);
+  } else if (std::strcmp(site, "crew.worker_start") == 0) {
+    // Bounded, so a dispatcher that never publishes cannot wedge the
+    // crew's destructor.
+    const util::Nanos give_up = util::monotonic_now() + 10 * util::kSecond;
+    while (!g_first_dispatch_published.load(std::memory_order_acquire) &&
+           util::monotonic_now() < give_up) {
+      std::this_thread::yield();
+    }
+  }
+}
+
+TEST(ExplorerScenarioTest, CrewWorkerRunsDispatchPublishedBeforeFirstCheck) {
+  std::vector<std::unique_ptr<sched::Vcpu>> storage;
+  sched::RunQueue b(0);
+  storage.push_back(make_vcpu(0));
+  {
+    util::LockGuard guard(b.lock());
+    b.insert_sorted(*storage.front());
+  }
+  storage.push_back(make_vcpu(5));
+  const core::SpliceTask task{&storage[0]->hook, &storage[1]->hook,
+                              &storage[1]->hook};
+
+  g_first_dispatch_published.store(false);
+  const util::YieldHookFn previous = util::yield_hook();
+  util::set_yield_hook(&park_worker_until_published);
+  core::MergeCrewStats stats;
+  {
+    // The watchdog only bounds the test if the dispatch is lost; a worker
+    // that sees it answers in microseconds.
+    core::ParallelMergeCrew crew(1, 500 * util::kMillisecond);
+    crew.execute(std::span<const core::SpliceTask>(&task, 1));
+    stats = crew.stats();
+  }
+  util::set_yield_hook(previous);
+
+  b.list().add_size(1);
+  EXPECT_TRUE(b.check_invariants(/*require_sorted=*/true).is_ok());
+  b.list().abandon_all();
+  EXPECT_EQ(stats.watchdog_steals, 0u)
+      << "the worker missed a dispatch published before its first check";
+  EXPECT_EQ(stats.workers_quarantined, 0u);
+  EXPECT_EQ(stats.workers_respawned, 0u);
 }
 
 // ---------------------------------------------------------------------------

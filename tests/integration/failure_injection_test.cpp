@@ -117,11 +117,17 @@ TEST(FailureInjectionTest, PlatformSurvivesPoolExhaustion) {
   request.threshold = 0;
 
   // First cold invocation pools its sandbox (cap 1). A second cold
-  // invocation cannot pool another — the platform must surface the cap.
+  // invocation cannot pool another: its body already ran, so the call
+  // succeeds and the overflowing sandbox is torn down as an eviction.
   ASSERT_TRUE(platform.invoke(id, request, faas::StartMode::kCold).has_value());
   const auto second = platform.invoke(id, request, faas::StartMode::kCold);
-  EXPECT_FALSE(second.has_value());
-  EXPECT_EQ(second.status().code(), util::StatusCode::kResourceExhausted);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->mode, faas::StartMode::kCold);
+  EXPECT_EQ(platform.warm_pool().available(id), 1u);
+  const auto counters = platform.counters();
+  EXPECT_EQ(counters.failed, 0u);
+  EXPECT_EQ(counters.invocations, 2u);
+  EXPECT_EQ(counters.pool_overflow_destroyed, 1u);
   // Warm path still works off the pooled sandbox.
   EXPECT_TRUE(platform.invoke(id, request, faas::StartMode::kWarm).has_value());
 }

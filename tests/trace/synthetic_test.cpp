@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 namespace horse::trace {
 namespace {
@@ -63,6 +66,51 @@ TEST(SyntheticTraceTest, ScheduleMatchesRowTotals) {
     expected += std::accumulate(row.per_minute.begin(), row.per_minute.end(), 0u);
   }
   EXPECT_EQ(generator.generate_schedule().size(), expected);
+}
+
+TEST(SyntheticTraceTest, HighRatePoissonNeitherUnderflowsNorCaps) {
+  // Above ~745/minute exp(-rate) underflows to 0, so a single inversion
+  // would run to its 100000 cap; high rates are summed over chunks.
+  SyntheticTraceParams params;
+  params.num_functions = 1;
+  params.num_minutes = 400;
+  params.top_rate_per_minute = 2000.0;
+  params.rate_jitter = 0.0;
+  const auto rows = SyntheticAzureTrace(params).generate_rows();
+  double sum = 0.0;
+  for (const std::uint32_t count : rows[0].per_minute) {
+    EXPECT_LT(count, 100000u);
+    sum += count;
+  }
+  // The mean of 400 Poisson(2000) minutes has sigma sqrt(2000 / 400).
+  const double mean = sum / params.num_minutes;
+  EXPECT_NEAR(mean, 2000.0, 3.0 * std::sqrt(2000.0 / params.num_minutes));
+}
+
+TEST(SyntheticTraceTest, RatesUpToSevenHundredKeepTheirSchedule) {
+  // Every rate here is at most 500 x 1.35 = 675 per minute, so each draw
+  // stays on the single inversion and the rows are bit-identical to what
+  // the generator has always produced for this seed.
+  SyntheticTraceParams params;
+  params.num_functions = 64;
+  params.num_minutes = 12;
+  params.top_rate_per_minute = 500.0;
+  params.seed = 7;
+  const auto rows = SyntheticAzureTrace(params).generate_rows();
+  EXPECT_EQ(rows[0].per_minute,
+            (std::vector<std::uint32_t>{556, 671, 701, 323, 444, 528, 684,
+                                        486, 413, 358, 392, 545}));
+  EXPECT_EQ(rows[1].per_minute,
+            (std::vector<std::uint32_t>{255, 161, 179, 152, 323, 298, 216,
+                                        339, 283, 228, 234, 288}));
+  EXPECT_EQ(rows[63].per_minute,
+            (std::vector<std::uint32_t>{3, 5, 7, 5, 6, 2, 6, 2, 4, 3, 5, 1}));
+  std::uint64_t total = 0;
+  for (const auto& row : rows) {
+    total += std::accumulate(row.per_minute.begin(), row.per_minute.end(),
+                             std::uint64_t{0});
+  }
+  EXPECT_EQ(total, 24306u);
 }
 
 TEST(DurationSamplerTest, SamplesArePositive) {
