@@ -182,10 +182,10 @@ int main(int argc, char** argv) {
   const core::ResumeDegradationStats deg = horse_engine->degradation_stats();
   metrics::counters_table("HORSE degraded-resume counters",
                  {{"fallback_merges", deg.fallback_merges},
-                  {"stale_index_fallbacks", deg.stale_index_fallbacks},
                   {"poisoned_index_fallbacks", deg.poisoned_index_fallbacks},
                   {"merge_error_fallbacks", deg.merge_error_fallbacks},
-                  {"deferred_refreshes", deg.deferred_refreshes}})
+                  {"in_place_repairs", deg.in_place_repairs},
+                  {"in_place_rebuilds", deg.in_place_rebuilds}})
       .print(std::cout);
 
   // Machine-readable copy for plotting / diffing against the paper.

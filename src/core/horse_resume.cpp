@@ -92,13 +92,12 @@ ResumeCycleStats HorseResumeEngine::cycle_stats() const {
 ResumeDegradationStats HorseResumeEngine::degradation_stats() const noexcept {
   ResumeDegradationStats out;
   out.fallback_merges = fallback_merges_.load(std::memory_order_acquire);
-  out.stale_index_fallbacks =
-      stale_index_fallbacks_.load(std::memory_order_acquire);
   out.poisoned_index_fallbacks =
       poisoned_index_fallbacks_.load(std::memory_order_acquire);
   out.merge_error_fallbacks =
       merge_error_fallbacks_.load(std::memory_order_acquire);
-  out.deferred_refreshes = deferred_refreshes_.load(std::memory_order_acquire);
+  out.in_place_repairs = in_place_repairs_.load(std::memory_order_acquire);
+  out.in_place_rebuilds = in_place_rebuilds_.load(std::memory_order_acquire);
   return out;
 }
 
@@ -224,19 +223,26 @@ util::Status HorseResumeEngine::resume_fallback_merge(
   return util::Status::ok();
 }
 
-void HorseResumeEngine::run_deferred_refresh() {
-  if (!needs_refresh_.exchange(false, std::memory_order_acq_rel)) {
+void HorseResumeEngine::freshen_in_place(P2smIndex& index,
+                                         sched::VcpuList& merge_vcpus,
+                                         sched::RunQueue& queue) {
+  // Every resume or pause on a shared reserved queue bumps its version, so
+  // a paused neighbour's index is usually a few journal entries behind.
+  // Replaying them costs O(runs + gap); a rebuild costs O(|A| + |B|) and
+  // wins once the gap reaches that size (E17). Both inputs are already in
+  // hand, so the choice needs no knob and no calibration.
+  const std::uint64_t gap = index.version_gap(queue);
+  const bool replay = index.built() &&
+                      gap <= sched::RunQueue::kJournalCapacity &&
+                      gap < merge_vcpus.size() + queue.size();
+  if (replay && index.repair(merge_vcpus, queue).is_ok()) {
+    in_place_repairs_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  // Outside the timed path, after the epilogue released resume_lock_.
-  // Whatever made this resume's index untrustworthy (a foreign queue
-  // mutation, injected corruption) likely staled every other index
-  // targeting the same queue; rebuild them now so the NEXT resumes take
-  // the fast path again. The manager locks itself (and each target queue)
-  // since the sharding refactor, so no resume_lock_ re-acquire: the sweep
-  // runs concurrently with other engines' resumes.
-  ull_->refresh();
-  deferred_refreshes_.fetch_add(1, std::memory_order_relaxed);
+  // Invalidated index, long gap, or a declined repair (journal gap,
+  // contradictory entry, poisoning): the rebuild cures all of them.
+  index.rebuild(merge_vcpus, queue);
+  in_place_rebuilds_.fetch_add(1, std::memory_order_relaxed);
 }
 
 util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
@@ -287,8 +293,9 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
               "horse: sandbox not tracked (was pause() skipped?)"};
     }
 
-    // Decide fast vs. degraded under the queue lock, then release it: the
-    // fallback walk takes the lock per vCPU itself.
+    // Freshen and merge under ONE queue-lock hold, so no other splice or
+    // pause can stale the index in between; release it before a degraded
+    // walk, which takes the lock itself.
     bool fast_path_done = false;
     {
       util::LockGuard guard(queue.lock());
@@ -298,12 +305,12 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
         // touched the ull_runqueue after pause.
         index->invalidate();
       }
-      const bool poisoned = index->poisoned();
-      const bool stale = !poisoned && !index->fresh(queue);
-      if (poisoned) {
+      if (!index->poisoned() && !index->fresh(queue)) {
+        freshen_in_place(*index, sandbox.merge_vcpus(), queue);
+      }
+      // Checked after freshening: a rebuild can itself come back poisoned.
+      if (index->poisoned()) {
         poisoned_index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      } else if (stale) {
-        stale_index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       } else {
         // Adaptive crossover: below the calibrated run count, the crew's
         // cross-core dispatch costs more than the splices — issue them
@@ -339,14 +346,11 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
       }
       bd.merge = watch.elapsed() + profile_.resume_per_vcpu_tax;
     } else {
-      // Degradation rung: the precomputed index cannot be trusted, but
+      // Degradation rung: the index is poisoned or merge() refused, but
       // the resume must still succeed — fall back to the vanilla sorted
-      // walk (correct at any index state) and schedule the index repair
-      // off the hot path. The rebuild is NOT charged to this resume; the
-      // old inline-rebuild behaviour hid an O(|A|+|B|) cost in the 150 ns
-      // path.
+      // walk, which is correct at any index state. The index dies with
+      // this resume's untrack, so nothing is left to repair.
       fallback_merges_.fetch_add(1, std::memory_order_relaxed);
-      needs_refresh_.store(true, std::memory_order_release);
       if (util::Status status = resume_fallback_merge(sandbox, cpu, bd);
           !status.is_ok()) {
         resume_lock_.unlock();
@@ -408,11 +412,6 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
     cycle_stats_.publish_cycles += c4 - c3;
     cycle_stats_.total_cycles.record(static_cast<util::Nanos>(c4 - c0));
   }
-
-  // Off-hot-path repair for whatever degraded this resume (no-op when the
-  // fast path ran). After the epilogue: the caller's measured latency
-  // never includes the rebuild sweep.
-  run_deferred_refresh();
   return util::Status::ok();
 }
 

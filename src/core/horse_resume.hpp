@@ -45,7 +45,8 @@ struct HorseFeatures {
 /// for reporting). Stage boundaries:
 ///   prologue   — steps ①-③ (parse, lock, sanity)
 ///   lookup     — the single manager-lock assignment+index fetch
-///   splice     — step ④ (𝒫²𝒮ℳ merge or the fallback walk) + vCPU state
+///   splice     — step ④ (in-place freshening of a stale index, 𝒫²𝒮ℳ merge
+///                or the fallback walk) + vCPU state
 ///   publish    — step ⑤ load update, untrack/retire, step ⑥ epilogue
 /// total_cycles is the whole-resume distribution (recorded in cycles, so
 /// its quantiles are cycle counts, not nanoseconds).
@@ -58,21 +59,29 @@ struct ResumeCycleStats {
   metrics::Histogram total_cycles;
 };
 
-/// Counters for the engine's degradation rungs (monotonic; snapshot via
-/// degradation_stats()). A degraded resume is still a *successful* resume:
-/// the sandbox runs, the queue is sorted — only the O(1) splice was
-/// replaced by the vanilla sorted walk.
+/// Counters for the engine's step-④ outcomes (monotonic; snapshot via
+/// degradation_stats()). A stale index is not a degradation: step ④
+/// freshens it in place under the queue lock and still splices in O(1),
+/// counted as an in-place repair or rebuild. Only an index that cannot be
+/// trusted (poisoned) or a merge() error degrades to the vanilla sorted
+/// walk; a degraded resume is still a *successful* resume — the sandbox
+/// runs and the queue is sorted.
 struct ResumeDegradationStats {
   /// Resumes that fell back to the vanilla sorted-merge walk (any cause).
   std::uint64_t fallback_merges = 0;
-  /// ... because the index no longer matched the queue's version.
+  /// Always 0: a stale index no longer falls back (see in_place_*). Kept
+  /// only because the repository benchmark (perfbench/) prints it; remove
+  /// it together with that line.
   std::uint64_t stale_index_fallbacks = 0;
   /// ... because the index was poisoned (corrupt anchor table).
   std::uint64_t poisoned_index_fallbacks = 0;
   /// ... because merge() itself reported an error.
   std::uint64_t merge_error_fallbacks = 0;
-  /// Off-hot-path refresh() sweeps triggered by a degraded resume.
-  std::uint64_t deferred_refreshes = 0;
+  /// Stale indexes brought fresh in step ④ by a journal replay.
+  std::uint64_t in_place_repairs = 0;
+  /// Stale indexes brought fresh in step ④ by a full rebuild (long or
+  /// uncoverable version gap, invalidated index, or a declined repair).
+  std::uint64_t in_place_rebuilds = 0;
 };
 
 class HorseResumeEngine final : public vmm::ResumeEngine {
@@ -127,9 +136,10 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   void arm_crew() noexcept;
   void disarm_crew() noexcept;
 
-  /// HORSE resume: prologue, then 𝒫²𝒮ℳ merge (step ④) and coalesced load
-  /// update (step ⑤), then epilogue. Falls back to the vanilla loop for
-  /// non-uLL sandboxes or disabled features.
+  /// HORSE resume: prologue, then 𝒫²𝒮ℳ merge (step ④, freshening a stale
+  /// index in place first) and coalesced load update (step ⑤), then
+  /// epilogue. Falls back to the vanilla loop for non-uLL sandboxes or
+  /// disabled features.
   util::Status resume(vmm::Sandbox& sandbox,
                       vmm::ResumeBreakdown* breakdown = nullptr) override;
 
@@ -151,13 +161,12 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
                                      sched::CpuId cpu,
                                      vmm::ResumeBreakdown& breakdown);
 
-  /// Off-hot-path repair: when a degraded resume observed stale indexes,
-  /// refresh every stale index via the manager AFTER the epilogue (outside
-  /// the timed path) — journal repair first, rebuild as the fallback. The
-  /// manager is internally locked since the sharding refactor, so no
-  /// resume_lock_ re-acquire is needed — the sweep runs concurrently with
-  /// other engines' resumes.
-  void run_deferred_refresh();
+  /// Bring a stale, unpoisoned index fresh against `queue` (caller holds
+  /// the queue lock): journal repair() when the version gap is coverable
+  /// and shorter than |A|+|B|, rebuild() otherwise or when the repair
+  /// declines. Touches only this sandbox's index.
+  void freshen_in_place(P2smIndex& index, sched::VcpuList& merge_vcpus,
+                        sched::RunQueue& queue);
 
   /// Resolve the inline-splice crossover from config or, in auto mode,
   /// from the startup micro-calibration against the freshly built crew.
@@ -185,14 +194,11 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   mutable util::Spinlock cycle_stats_lock_;
   ResumeCycleStats cycle_stats_;
 
-  // Degradation bookkeeping. needs_refresh_ is set inside the timed path
-  // (one relaxed store) and consumed after the epilogue.
-  std::atomic<bool> needs_refresh_{false};
   std::atomic<std::uint64_t> fallback_merges_{0};
-  std::atomic<std::uint64_t> stale_index_fallbacks_{0};
   std::atomic<std::uint64_t> poisoned_index_fallbacks_{0};
   std::atomic<std::uint64_t> merge_error_fallbacks_{0};
-  std::atomic<std::uint64_t> deferred_refreshes_{0};
+  std::atomic<std::uint64_t> in_place_repairs_{0};
+  std::atomic<std::uint64_t> in_place_rebuilds_{0};
 };
 
 }  // namespace horse::core

@@ -157,6 +157,13 @@ class P2smIndex {
     return built_ && built_version_ == b.version();
   }
   [[nodiscard]] bool built() const noexcept { return built_; }
+  /// Structural mutations B went through since the index last matched it
+  /// (0 when fresh) — the number of journal entries a repair() would
+  /// replay. Meaningful only for a built index.
+  [[nodiscard]] std::uint64_t version_gap(
+      const sched::RunQueue& b) const noexcept {
+    return b.version() - built_version_;
+  }
   void invalidate() noexcept {
     built_ = false;
     pos_a_.clear();

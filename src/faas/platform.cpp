@@ -781,10 +781,10 @@ core::ResumeDegradationStats Platform::resume_degradation_stats() const {
   for (const auto& engine : horse_engines_) {
     const core::ResumeDegradationStats stats = engine->degradation_stats();
     total.fallback_merges += stats.fallback_merges;
-    total.stale_index_fallbacks += stats.stale_index_fallbacks;
     total.poisoned_index_fallbacks += stats.poisoned_index_fallbacks;
     total.merge_error_fallbacks += stats.merge_error_fallbacks;
-    total.deferred_refreshes += stats.deferred_refreshes;
+    total.in_place_repairs += stats.in_place_repairs;
+    total.in_place_rebuilds += stats.in_place_rebuilds;
   }
   return total;
 }

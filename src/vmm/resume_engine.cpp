@@ -85,10 +85,14 @@ util::Status ResumeEngine::pause_locked(Sandbox& sandbox) {
             "pause: sandbox not running"};
   }
   for (const auto& vcpu : sandbox.vcpus()) {
-    if (vcpu->hook.is_linked()) {
+    {
+      // Test is_linked() under the queue lock: a neighbour's unlink on the
+      // same queue rewrites this hook's links while holding it.
       sched::RunQueue& queue = topology_.queue(vcpu->last_cpu);
       util::LockGuard guard(queue.lock());
-      queue.remove(*vcpu);
+      if (vcpu->hook.is_linked()) {
+        queue.remove(*vcpu);
+      }
     }
     vcpu->state = sched::VcpuState::kPaused;
     insert_sorted_into(sandbox.merge_vcpus(), *vcpu);
@@ -200,12 +204,17 @@ util::Status ResumeEngine::destroy(Sandbox& sandbox) {
     return {util::StatusCode::kFailedPrecondition, "destroy: already destroyed"};
   }
   for (const auto& vcpu : sandbox.vcpus()) {
-    if (vcpu->hook.is_linked()) {
-      if (vcpu->state == sched::VcpuState::kPaused) {
+    if (vcpu->state == sched::VcpuState::kPaused) {
+      // Parked on the sandbox's own merge list: no other thread links it.
+      if (vcpu->hook.is_linked()) {
         sandbox.merge_vcpus().erase(*vcpu);
-      } else {
-        sched::RunQueue& queue = topology_.queue(vcpu->last_cpu);
-        util::LockGuard guard(queue.lock());
+      }
+    } else {
+      // On a shared run queue: test is_linked() under its lock, as pause
+      // does.
+      sched::RunQueue& queue = topology_.queue(vcpu->last_cpu);
+      util::LockGuard guard(queue.lock());
+      if (vcpu->hook.is_linked()) {
         queue.remove(*vcpu);
       }
     }

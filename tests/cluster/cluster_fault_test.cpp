@@ -6,6 +6,7 @@
 // CMake).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <set>
 #include <thread>
@@ -13,7 +14,6 @@
 #include "cluster/scheduler.hpp"
 #include "util/fault_injection.hpp"
 #include "workloads/array_filter.hpp"
-#include "workloads/cpu_burner.hpp"
 
 namespace horse::cluster {
 namespace {
@@ -179,16 +179,48 @@ TEST_F(ClusterFaultTest, QuarantinedHostKeepsItsHealthFlagUntilRecovered) {
 
 // --- crash tolerance (cluster.host_crash, §5.7) ----------------------------
 
-faas::FunctionSpec burner_spec() {
-  faas::FunctionSpec spec;
-  spec.name = "burner";
-  spec.implementation = std::make_shared<workloads::CpuBurnerFunction>();
-  spec.sandbox.name = "burner-sb";
-  spec.sandbox.num_vcpus = 1;
-  spec.sandbox.memory_mb = 1;
-  spec.sandbox.ull = true;
-  return spec;
-}
+/// A body that blocks until the test releases it, so a task stays in
+/// flight across health sweeps without a bet on how long it takes to run.
+class HeldFunction final : public workloads::Function {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "held";
+  }
+  [[nodiscard]] workloads::Category category() const noexcept override {
+    return workloads::Category::kBackground;
+  }
+  [[nodiscard]] util::Nanos nominal_duration() const noexcept override {
+    return util::kMillisecond;
+  }
+  workloads::Response invoke(const workloads::Request&) override {
+    entered_.fetch_add(1, std::memory_order_acq_rel);
+    released_.wait(false, std::memory_order_acquire);
+    workloads::Response response;
+    response.allowed = true;
+    return response;
+  }
+
+  /// Wait (bounded) until `count` bodies have started.
+  [[nodiscard]] bool wait_entered(int count) const {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (entered_.load(std::memory_order_acquire) < count) {
+      if (std::chrono::steady_clock::now() > give_up) {
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    return true;
+  }
+  void release() {
+    released_.store(true, std::memory_order_release);
+    released_.notify_all();
+  }
+
+ private:
+  std::atomic<int> entered_{0};
+  std::atomic<bool> released_{false};
+};
 
 TEST_F(ClusterFaultTest, CrashedHostIsDeclaredDeadAndBacklogRedispatched) {
   ClusterConfig config = make_config(2, DispatchMode::kPush);
@@ -224,24 +256,36 @@ TEST_F(ClusterFaultTest, ZombieCompletionIsSuppressedExactlyOnce) {
   config.health.lease_duration = 0;
   config.health.missed_to_death = 1;
   ClusterScheduler cluster(config);
-  const auto burner = cluster.register_function(burner_spec);
-  ASSERT_TRUE(burner);
+  // One body instance serves both hosts: the zombie and its re-dispatched
+  // copy both block in it until the sweeps are done.
+  const auto held = std::make_shared<HeldFunction>();
+  const auto fn = cluster.register_function([&held] {
+    faas::FunctionSpec spec;
+    spec.name = "held";
+    spec.implementation = held;
+    spec.sandbox.name = "held-sb";
+    spec.sandbox.num_vcpus = 1;
+    spec.sandbox.memory_mb = 1;
+    spec.sandbox.ull = true;
+    return spec;
+  });
+  ASSERT_TRUE(fn);
   // Pull mode probes the crash at task PICKUP — after the in-flight
-  // registration — so the crashing host is mid-execution of a long
-  // burner task: the canonical zombie.
+  // registration — so the crashing host is mid-execution: the canonical
+  // zombie. The crash flag is set on the worker before the body starts,
+  // and the body holds until release(), so the task is in flight at both
+  // sweeps below whatever the host's load. (Polling counters() instead
+  // would not do: Platform::counters() takes the shard mutex the running
+  // body holds, so it returns only once the body has finished.)
   const auto fault = util::ScopedFault::nth("cluster.host_crash", 1);
-  workloads::Request slow;
-  slow.threshold = 500'000;  // prime-search bound: tens of ms of work
-  cluster.submit(*burner, std::move(slow), faas::StartMode::kCold);
-  // The crash flag is set synchronously at pickup, well before the burner
-  // finishes; once visible, the task is guaranteed still in flight.
-  while (cluster.counters().host_crashes == 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
+  cluster.submit(*fn, filter_request(), faas::StartMode::kCold);
+  const bool entered = held->wait_entered(1);
+  EXPECT_TRUE(entered) << "the held body never started";
   // First sweep may renew on completion progress; the second must miss
   // (missed_to_death = 1) and declare death, stealing the orphan.
   cluster.check_health();
   cluster.check_health();
+  held->release();
   const std::vector<faas::SubmissionOutcome> outcomes = cluster.drain();
   // Exactly ONE outcome surfaces for the single submission, even though
   // two completions happened (zombie + re-dispatched copy).

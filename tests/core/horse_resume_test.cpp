@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 namespace horse::core {
 namespace {
@@ -147,7 +149,7 @@ TEST_F(HorseResumeTest, MultiplePausedSandboxesResumeIndependently) {
   ASSERT_TRUE(engine_.pause(*s2).is_ok());
 
   // Resuming s1 mutates the ull queue; s2's index goes stale and must be
-  // refreshed (or the resume falls back to an inline rebuild).
+  // refreshed (or the resume freshens it in place).
   ASSERT_TRUE(engine_.resume(*s1).is_ok());
   EXPECT_EQ(engine_.ull_manager().refresh(), 1u);
   ASSERT_TRUE(engine_.resume(*s2).is_ok());
@@ -171,6 +173,91 @@ TEST_F(HorseResumeTest, StaleIndexFallbackRebuildsInline) {
   EXPECT_TRUE(topology_.queue(7).is_sorted());
   ASSERT_TRUE(engine_.destroy(*s1).is_ok());
   ASSERT_TRUE(engine_.destroy(*s2).is_ok());
+}
+
+// The stale-index scenario behind in-place freshening: a target and two
+// neighbours pause onto the one reserved queue, the neighbours resume and
+// then cycle `churn_cycles` times (each cycle is 8 queue mutations), and
+// the target resumes last against an index that many versions behind.
+// Returns the reserved queue's final (sandbox, credit) order.
+std::vector<std::pair<sched::SandboxId, sched::Credit>> resume_after_churn(
+    HorseResumeEngine& engine, sched::CpuTopology& topology,
+    int churn_cycles) {
+  const auto make = [](sched::SandboxId id,
+                       std::vector<sched::Credit> credits) {
+    vmm::SandboxConfig config;
+    config.name = "churn";
+    config.num_vcpus = static_cast<std::uint32_t>(credits.size());
+    config.memory_mb = 1;
+    config.ull = true;
+    auto sandbox = std::make_unique<vmm::Sandbox>(id, config);
+    for (std::size_t i = 0; i < credits.size(); ++i) {
+      sandbox->vcpu(static_cast<std::uint32_t>(i)).credit = credits[i];
+    }
+    return sandbox;
+  };
+  // Distinct credits, interleaved across sandboxes, so every anchor and
+  // every run boundary of the target's index is exercised.
+  auto target = make(1, {50, 10, 30});
+  auto small = make(2, {20, 40});
+  auto churner = make(3, {5, 25, 35, 60});
+  for (auto* sandbox : {target.get(), small.get(), churner.get()}) {
+    EXPECT_TRUE(engine.start(*sandbox).is_ok());
+    EXPECT_TRUE(engine.pause(*sandbox).is_ok());
+  }
+  EXPECT_TRUE(engine.resume(*small).is_ok());
+  EXPECT_TRUE(engine.resume(*churner).is_ok());
+  for (int cycle = 0; cycle < churn_cycles; ++cycle) {
+    EXPECT_TRUE(engine.pause(*churner).is_ok());
+    EXPECT_TRUE(engine.resume(*churner).is_ok());
+  }
+  EXPECT_TRUE(engine.resume(*target).is_ok());
+
+  std::vector<std::pair<sched::SandboxId, sched::Credit>> order;
+  for (const sched::Vcpu& vcpu : topology.queue(7).list()) {
+    order.emplace_back(vcpu.sandbox, vcpu.credit);
+  }
+  EXPECT_TRUE(topology.queue(7).is_sorted());
+  for (auto* sandbox : {target.get(), small.get(), churner.get()}) {
+    EXPECT_TRUE(engine.destroy(*sandbox).is_ok());
+  }
+  return order;
+}
+
+TEST(HorseInPlaceFreshenTest, RepairAndRebuildMatchTheVanillaWalk) {
+  struct Case {
+    int churn_cycles;
+    std::uint64_t repairs;
+    std::uint64_t rebuilds;
+  };
+  // The churner's first resume always repairs (gap 2 behind the small
+  // neighbour's splice). The target's gap, against |A|+|B| = 3+6 = 9:
+  // 6 without churn (journal repair); 6+8 = 14 after one cycle (within
+  // the journal, but rebuild is cheaper); 6+8·8 = 70 after eight, past
+  // the 64-entry journal (rebuild).
+  static_assert(sched::RunQueue::kJournalCapacity == 64);
+  for (const Case c : {Case{0, 2, 0}, Case{1, 1, 1}, Case{8, 1, 1}}) {
+    SCOPED_TRACE(c.churn_cycles);
+    sched::CpuTopology topology(8);
+    HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker());
+    // Reference: the same engine shape without 𝒫²𝒮ℳ takes the vanilla
+    // sorted walk onto the same reserved queue.
+    sched::CpuTopology vanilla_topology(8);
+    HorseResumeEngine vanilla(vanilla_topology, vmm::VmmProfile::firecracker(),
+                              HorseConfig{}, HorseFeatures::coalescing_only());
+
+    const auto horse_order = resume_after_churn(engine, topology,
+                                                c.churn_cycles);
+    const auto vanilla_order =
+        resume_after_churn(vanilla, vanilla_topology, c.churn_cycles);
+    EXPECT_EQ(horse_order.size(), 9u);
+    EXPECT_EQ(horse_order, vanilla_order);
+
+    const ResumeDegradationStats stats = engine.degradation_stats();
+    EXPECT_EQ(stats.fallback_merges, 0u);
+    EXPECT_EQ(stats.in_place_repairs, c.repairs);
+    EXPECT_EQ(stats.in_place_rebuilds, c.rebuilds);
+  }
 }
 
 TEST_F(HorseResumeTest, PpsmOnlyFeatureSet) {

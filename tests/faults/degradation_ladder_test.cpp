@@ -6,9 +6,10 @@
 //                    the respawn budget exhausted the crew demotes itself
 //                    to a full sequential executor. The resume succeeds
 //                    either way.
-//   engine rung    — a stale or poisoned 𝒫²𝒮ℳ index demotes one resume to
-//                    the vanilla sorted-merge walk and schedules the index
-//                    rebuild off the hot path. The resume succeeds.
+//   engine rung    — a poisoned 𝒫²𝒮ℳ index demotes one resume to the
+//                    vanilla sorted-merge walk. The resume succeeds. (A
+//                    merely stale index is no rung: step ④ freshens it in
+//                    place and still splices in O(1).)
 //   platform rung  — a failed start attempt demotes the invocation one
 //                    rung colder (kHorse → kWarm → kRestore → kCold), and
 //                    a sandbox whose resume fails repeatedly is
@@ -153,11 +154,11 @@ TEST_F(FaultLadderTest, ExhaustedRespawnBudgetDemotesToFullSequential) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine rung: untrusted 𝒫²𝒮ℳ index → vanilla merge fallback + deferred
-// off-hot-path rebuild.
+// Engine rung: a stale 𝒫²𝒮ℳ index is freshened in place; only a poisoned
+// one falls back to the vanilla merge.
 // ---------------------------------------------------------------------------
 
-TEST_F(FaultLadderTest, StaleIndexFallsBackToVanillaMerge) {
+TEST_F(FaultLadderTest, StaleIndexIsRebuiltInPlaceAndSplicedFast) {
   sched::CpuTopology topology(8);
   core::HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker());
   auto sandbox = make_ull_sandbox(1, 4);
@@ -165,11 +166,12 @@ TEST_F(FaultLadderTest, StaleIndexFallsBackToVanillaMerge) {
   ASSERT_TRUE(engine.pause(*sandbox).is_ok());
 
   {
+    // The injected foreign mutation un-builds the index, so no journal
+    // replay can cover it: step ④ rebuilds in place, then splices.
     auto fault = ScopedFault::nth("horse.resume.stale_index", 1);
     ASSERT_TRUE(engine.resume(*sandbox).is_ok());
   }
 
-  // Degraded but correct: every vCPU scheduled, queue sorted.
   EXPECT_EQ(sandbox->state(), vmm::SandboxState::kRunning);
   EXPECT_EQ(topology.queue(7).size(), 4u);
   EXPECT_TRUE(topology.queue(7).is_sorted());
@@ -179,15 +181,16 @@ TEST_F(FaultLadderTest, StaleIndexFallsBackToVanillaMerge) {
   }
 
   const core::ResumeDegradationStats stats = engine.degradation_stats();
-  EXPECT_EQ(stats.fallback_merges, 1u);
-  EXPECT_EQ(stats.stale_index_fallbacks, 1u);
+  EXPECT_EQ(stats.fallback_merges, 0u);
   EXPECT_EQ(stats.poisoned_index_fallbacks, 0u);
-  EXPECT_EQ(stats.deferred_refreshes, 1u);
+  EXPECT_EQ(stats.in_place_rebuilds, 1u);
+  EXPECT_EQ(stats.in_place_repairs, 0u);
 
-  // The fault fired once; the next cycle takes the fast path again.
+  // The fault fired once; the next cycle's index is fresh at resume.
   ASSERT_TRUE(engine.pause(*sandbox).is_ok());
   ASSERT_TRUE(engine.resume(*sandbox).is_ok());
-  EXPECT_EQ(engine.degradation_stats().fallback_merges, 1u);
+  EXPECT_EQ(engine.degradation_stats().fallback_merges, 0u);
+  EXPECT_EQ(engine.degradation_stats().in_place_rebuilds, 1u);
 
   ASSERT_TRUE(engine.destroy(*sandbox).is_ok());
 }
@@ -210,8 +213,7 @@ TEST_F(FaultLadderTest, PoisonedIndexFallsBackToVanillaMerge) {
   const core::ResumeDegradationStats stats = engine.degradation_stats();
   EXPECT_EQ(stats.fallback_merges, 1u);
   EXPECT_EQ(stats.poisoned_index_fallbacks, 1u);
-  EXPECT_EQ(stats.stale_index_fallbacks, 0u);
-  EXPECT_EQ(stats.deferred_refreshes, 1u);
+  EXPECT_EQ(stats.in_place_repairs + stats.in_place_rebuilds, 0u);
 
   // A clean pause rebuilds a healthy index: fast path restored.
   ASSERT_TRUE(engine.pause(*sandbox).is_ok());
@@ -403,19 +405,19 @@ TEST_F(PlatformLadderTest, RepeatedResumeFailureQuarantinesSandbox) {
   EXPECT_EQ(counters.failed, 0u);
 }
 
-TEST_F(PlatformLadderTest, StaleIndexDegradesResumeWithoutDemotion) {
+TEST_F(PlatformLadderTest, StaleIndexIsRebuiltInPlaceWithoutDemotion) {
   ASSERT_TRUE(platform_.provision(function_, 1).is_ok());
-  // A stale index is handled INSIDE the engine (vanilla-merge fallback):
-  // the resume still succeeds, so the platform never demotes the rung.
+  // A stale index is handled INSIDE the engine (in-place rebuild, then the
+  // O(1) splice): the resume succeeds, so the platform never demotes.
   auto fault = ScopedFault::nth("horse.resume.stale_index", 1);
   const auto record =
       platform_.invoke(function_, request(), faas::StartMode::kHorse);
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->mode, faas::StartMode::kHorse);
   EXPECT_EQ(record->fallbacks, 0u);
-  const auto stats = platform_.horse_engine().degradation_stats();
-  EXPECT_EQ(stats.fallback_merges, 1u);
-  EXPECT_EQ(stats.stale_index_fallbacks, 1u);
+  const auto stats = platform_.resume_degradation_stats();
+  EXPECT_EQ(stats.fallback_merges, 0u);
+  EXPECT_EQ(stats.in_place_rebuilds, 1u);
   EXPECT_EQ(platform_.counters().rung_fallbacks, 0u);
 }
 

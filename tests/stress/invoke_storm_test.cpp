@@ -20,6 +20,7 @@
 // small CI runners; the point is interleaving coverage, not volume.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -189,6 +190,66 @@ TEST(InvokeStormTest, MixedModesAcrossShardsAllComplete) {
     occupancy_sum += count;
   }
   EXPECT_EQ(occupancy_sum, platform.warm_pool().total());
+}
+
+TEST(InvokeStormTest, SharedReservedQueueResumesNeverDegrade) {
+  // Two clients resume uLL sandboxes off ONE reserved queue, so every
+  // resume and re-park stales the index of each other sandbox paused
+  // there. Step ④ must freshen the resuming sandbox's own index in place:
+  // a fault-free run takes the O(1) splice every time and never degrades.
+  PlatformConfig config;
+  config.num_cpus = 4;
+  config.horse.num_ull_runqueues = 1;
+  Platform platform(config);
+
+  constexpr std::size_t kFunctions = 4;
+  constexpr std::size_t kProvision = 3;  // 12 paused uLL sandboxes
+  std::vector<FunctionId> functions;
+  for (std::size_t i = 0; i < kFunctions; ++i) {
+    FunctionSpec spec;
+    spec.name = "shared-nat-" + std::to_string(i);
+    spec.implementation = std::make_shared<workloads::NatFunction>(32);
+    spec.sandbox.name = spec.name + "-sb";
+    spec.sandbox.num_vcpus = static_cast<std::uint32_t>(1 + i % 3);
+    spec.sandbox.memory_mb = 1;
+    spec.sandbox.ull = true;
+    const auto id = platform.registry().add(std::move(spec));
+    ASSERT_TRUE(id.has_value());
+    ASSERT_TRUE(platform.provision(*id, kProvision).is_ok());
+    functions.push_back(*id);
+  }
+
+  constexpr std::size_t kClients = 2;
+  constexpr std::size_t kPerClient = 2000;
+  std::atomic<std::uint64_t> not_horse{0};
+  {
+    std::vector<std::jthread> clients;
+    for (std::size_t t = 0; t < kClients; ++t) {
+      clients.emplace_back([&platform, &functions, &not_horse, t] {
+        for (std::size_t i = 0; i < kPerClient; ++i) {
+          // Disjoint function sets per client: contention is on the
+          // shared reserved queue, not on a shard mutex.
+          const FunctionId fn = functions[t + kClients * (i % 2)];
+          const auto record =
+              platform.invoke(fn, packet_request(), StartMode::kHorse);
+          if (!record.has_value() || record->mode != StartMode::kHorse) {
+            not_horse.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+  }
+
+  EXPECT_EQ(not_horse.load(), 0u);
+  EXPECT_EQ(platform.counters().horse, kClients * kPerClient);
+  const core::ResumeDegradationStats stats =
+      platform.resume_degradation_stats();
+  EXPECT_EQ(stats.fallback_merges, 0u);
+  EXPECT_EQ(stats.poisoned_index_fallbacks, 0u);
+  EXPECT_EQ(stats.merge_error_fallbacks, 0u);
+  // The neighbours' churn really did stale the resuming indexes.
+  EXPECT_GT(stats.in_place_repairs + stats.in_place_rebuilds, 0u);
+  EXPECT_EQ(platform.ull_manager().tracked_count(), kFunctions * kProvision);
 }
 
 TEST(InvokeStormTest, SingleFunctionStormSerialisesOnItsShard) {
