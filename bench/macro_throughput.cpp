@@ -51,10 +51,10 @@
 // E20 driver: phase-1 traffic crashes host ID after N submissions
 // (--crash-sweep defaults to host 0 at the halfway point), the lease
 // failure detector declares it dead and re-dispatches its backlog and
-// in-flight orphans through the dedup ledger, the host restarts after
-// --restart-after-us and rejoins through a half-open probe, then a
-// phase-2 burst measures the post-failover warm-hit rate on the killed
-// host. The run FAILS on any lost or double-executed submission;
+// in-flight orphans through the dedup ledger, the host restarts
+// --restart-after-us after that declared death and rejoins through a
+// half-open probe, then a phase-2 burst measures the post-failover
+// warm-hit rate on the killed host. The run FAILS on any lost or double-executed submission;
 // --crash-sweep additionally runs a --no-rehydrate baseline and FAILS
 // unless warm rejoin rehydration strictly beats it on post-failover
 // warm hits. The report includes the recovery counter table (detection
@@ -117,8 +117,8 @@ struct Options {
   bool kill = false;
   std::size_t kill_host = 0;
   std::size_t kill_after = 0;
-  /// The crashed host's process comes back this long after the crash
-  /// (the half-open probe path rejoins it).
+  /// The crashed host's process comes back this long after the detector
+  /// declares it dead (the half-open probe path rejoins it).
   std::uint64_t restart_after_us = 2000;
   /// E20: run the crash once with warm rejoin rehydration and once
   /// without, and gate on rehydration winning post-failover warm hits.
@@ -279,6 +279,26 @@ workloads::Request packet_request() {
   return request;
 }
 
+/// Start mode of the n-th closed-loop call over `functions` functions
+/// visited round-robin (call n visits function n % functions for the
+/// (n / functions)-th time). Every function gets one cold start (and,
+/// with `restores`, one snapshot restore) per 64 of its own visits, the
+/// phase offset by its slot so they do not all go cold in the same
+/// round; every other visit is warm, kHorse for uLL functions. Keying on
+/// n % 64 instead would land every cold/restore start on one function
+/// whenever 64 is a multiple of the function count.
+faas::StartMode mix_mode(std::size_t n, std::size_t functions, bool ull,
+                         bool restores) {
+  const std::size_t phase = (n / functions + n % functions) % 64;
+  if (phase == 63) {
+    return faas::StartMode::kCold;
+  }
+  if (restores && phase == 31) {
+    return faas::StartMode::kRestore;
+  }
+  return ull ? faas::StartMode::kHorse : faas::StartMode::kWarm;
+}
+
 faas::FunctionSpec make_spec(std::size_t index, bool ull) {
   faas::FunctionSpec spec;
   spec.name = (ull ? "nat-" : "filter-") + std::to_string(index);
@@ -348,14 +368,8 @@ int run_single_host(const Options& options) {
       }
       for (std::size_t i = 0; i < options.per_thread; ++i) {
         const Fn& fn = *mine[i % mine.size()];
-        faas::StartMode mode;
-        if (i % 64 == 63) {
-          mode = faas::StartMode::kCold;
-        } else if (i % 64 == 31) {
-          mode = faas::StartMode::kRestore;
-        } else {
-          mode = fn.ull ? faas::StartMode::kHorse : faas::StartMode::kWarm;
-        }
+        const faas::StartMode mode =
+            mix_mode(i, mine.size(), fn.ull, /*restores=*/true);
         const auto record =
             platform.invoke(fn.id, fn.ull ? packet_request() : filter_request(),
                             mode);
@@ -558,12 +572,8 @@ int run_cluster(const Options& options) {
           }
         } else {
           const ClusterFn& fn = functions[(t + i) % functions.size()];
-          faas::StartMode mode;
-          if (i % 64 == 63) {
-            mode = faas::StartMode::kCold;
-          } else {
-            mode = fn.ull ? faas::StartMode::kHorse : faas::StartMode::kWarm;
-          }
+          const faas::StartMode mode =
+              mix_mode(t + i, functions.size(), fn.ull, /*restores=*/false);
           sched.submit(fn.id, fn.ull ? packet_request() : filter_request(),
                        mode, deadline());
         }
@@ -775,10 +785,8 @@ int run_one_load(const Options& options, double rate_per_sec,
               }
             }
             const ClusterFn& fn = functions[(t + i) % functions.size()];
-            const faas::StartMode mode =
-                i % 64 == 63 ? faas::StartMode::kCold
-                             : (fn.ull ? faas::StartMode::kHorse
-                                       : faas::StartMode::kWarm);
+            const faas::StartMode mode = mix_mode(
+                t + i, functions.size(), fn.ull, /*restores=*/false);
             const util::Nanos deadline =
                 deadline_rel == 0 ? 0 : util::monotonic_now() + deadline_rel;
             sched.submit(fn.id, fn.ull ? packet_request() : filter_request(),
@@ -1002,10 +1010,19 @@ int run_crash_once(const Options& options, bool rehydrate, CrashRow& row) {
   std::atomic<std::uint64_t> submit_count{0};
   std::atomic<util::Nanos> crashed_at{0};
 
-  // The "operator": the moment the crash fires, schedule the process
-  // restart; the scheduler's half-open probes then rejoin the host.
-  std::jthread restarter([&sched, &crashed_at, restart_delay, victim] {
-    while (crashed_at.load(std::memory_order_acquire) == 0) {
+  // The "operator": once the detector has declared the crashed host
+  // dead, schedule the process restart; the scheduler's half-open probes
+  // then rejoin the host. A host restarted before it is declared dead is
+  // never quarantined, so it could never rejoin. The counters (which take
+  // shard locks) are polled only after the crash, not under phase-1
+  // traffic.
+  std::jthread restarter([&sched, &crashed_at, restart_delay, victim](
+                             std::stop_token stop) {
+    while (crashed_at.load(std::memory_order_acquire) == 0 ||
+           sched.counters().hosts_declared_dead < 1) {
+      if (stop.stop_requested()) {
+        return;
+      }
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
     std::this_thread::sleep_for(std::chrono::nanoseconds(restart_delay));
@@ -1031,10 +1048,8 @@ int run_crash_once(const Options& options, bool rehydrate, CrashRow& row) {
                                  std::memory_order_release);
               }
               const ClusterFn& fn = functions[(t + i) % functions.size()];
-              const faas::StartMode mode =
-                  i % 64 == 63 ? faas::StartMode::kCold
-                               : (fn.ull ? faas::StartMode::kHorse
-                                         : faas::StartMode::kWarm);
+              const faas::StartMode mode = mix_mode(
+                  t + i, functions.size(), fn.ull, /*restores=*/false);
               sched.submit(fn.id,
                            fn.ull ? packet_request() : filter_request(), mode,
                            0);

@@ -1,46 +1,15 @@
 // HORSE runtime configuration.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
-#include <thread>
-
-#include "util/time.hpp"
 
 namespace horse::core {
-
-enum class MergeMode : std::uint8_t {
-  /// Issue the splices from the resuming thread. Fastest when the run
-  /// count is small or cores are scarce.
-  kSequential,
-  /// Dispatch one pre-armed worker per task chunk (Algorithm 1's
-  /// thread-per-key model).
-  kParallel,
-};
 
 struct HorseConfig {
   /// Number of reserved ull_runqueues (§4.1.3: one by default, more "in
   /// the case of a high frequency of uLL workload triggers").
   std::uint32_t num_ull_runqueues = 1;
-  MergeMode merge_mode = MergeMode::kSequential;
-  /// Workers in the parallel crew (ignored in sequential mode). 0 = one
-  /// per hardware thread, capped at 8.
-  std::size_t crew_size = 0;
-  /// Dispatcher-side deadline per dispatched merge chunk before the crew
-  /// watchdog steals the chunk, runs it inline, and quarantines the
-  /// worker. 0 disables the watchdog (wait forever — the pre-ladder
-  /// behaviour). Ignored in sequential mode.
-  util::Nanos crew_watchdog_timeout = 250 * util::kMillisecond;
-
-  /// Adaptive inline splice (parallel mode only): resumes whose index has
-  /// at most this many runs splice inline on the resuming thread instead
-  /// of dispatching to the pre-armed crew — below the crossover, the
-  /// cross-core cacheline ping-pong of dispatch costs more than the
-  /// splices themselves. kInlineSpliceAuto (the default) measures the
-  /// crossover at engine startup; 0 means always dispatch to the crew.
-  static constexpr std::uint32_t kInlineSpliceAuto = ~std::uint32_t{0};
-  std::uint32_t inline_splice_max_runs = kInlineSpliceAuto;
 
   // --- resume hot-path tuning (E22 ablation arms flip these off) ---------
 
@@ -58,21 +27,9 @@ struct HorseConfig {
   /// the ull-manager mutex on the resume path.
   bool epoch_reclaim = true;
 
-  [[nodiscard]] std::size_t effective_crew_size() const {
-    if (crew_size != 0) {
-      return crew_size;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : std::min<std::size_t>(hw, 8);
-  }
-
   void validate() const {
     if (num_ull_runqueues == 0) {
       throw std::invalid_argument("HorseConfig: need at least one ull_runqueue");
-    }
-    if (crew_watchdog_timeout < 0) {
-      throw std::invalid_argument(
-          "HorseConfig: crew_watchdog_timeout must be >= 0");
     }
   }
 };

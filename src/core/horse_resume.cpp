@@ -3,7 +3,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/splice_calibration.hpp"
 #include "util/cycle_clock.hpp"
 #include "util/epoch.hpp"
 #include "util/fault_injection.hpp"
@@ -25,15 +24,6 @@ HorseResumeEngine::HorseResumeEngine(sched::CpuTopology& topology,
   for (const sched::CpuId cpu : ull_->ull_cpus()) {
     ull_->bind_engine(cpu, this);
   }
-  if (config_.merge_mode == MergeMode::kParallel) {
-    auto crew = std::make_unique<ParallelMergeCrew>(
-        config_.effective_crew_size(), config_.crew_watchdog_timeout);
-    crew_ = crew.get();
-    executor_ = std::move(crew);
-  } else {
-    executor_ = std::make_unique<SequentialMergeExecutor>();
-  }
-  inline_splice_threshold_ = resolve_inline_splice_threshold();
 }
 
 HorseResumeEngine::HorseResumeEngine(sched::CpuTopology& topology,
@@ -49,40 +39,9 @@ HorseResumeEngine::HorseResumeEngine(sched::CpuTopology& topology,
   config_.validate();
   cycle_timing_ = config_.cycle_timing;
   ull_->bind_engine(bound_cpu, this);
-  if (config_.merge_mode == MergeMode::kParallel) {
-    auto crew = std::make_unique<ParallelMergeCrew>(
-        config_.effective_crew_size(), config_.crew_watchdog_timeout);
-    crew_ = crew.get();
-    executor_ = std::move(crew);
-  } else {
-    executor_ = std::make_unique<SequentialMergeExecutor>();
-  }
-  inline_splice_threshold_ = resolve_inline_splice_threshold();
 }
 
 HorseResumeEngine::~HorseResumeEngine() { ull_->unbind_engine(this); }
-
-std::uint32_t HorseResumeEngine::resolve_inline_splice_threshold() {
-  if (config_.inline_splice_max_runs != HorseConfig::kInlineSpliceAuto) {
-    return config_.inline_splice_max_runs;
-  }
-  if (crew_ == nullptr) {
-    return 0;  // sequential mode: the main executor is already inline
-  }
-  return calibrate_inline_splice(*crew_).crossover_runs;
-}
-
-void HorseResumeEngine::arm_crew() noexcept {
-  if (crew_ != nullptr) {
-    crew_->arm();
-  }
-}
-
-void HorseResumeEngine::disarm_crew() noexcept {
-  if (crew_ != nullptr) {
-    crew_->disarm();
-  }
-}
 
 ResumeCycleStats HorseResumeEngine::cycle_stats() const {
   util::LockGuard guard(cycle_stats_lock_);
@@ -312,22 +271,10 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
       if (index->poisoned()) {
         poisoned_index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        // Adaptive crossover: below the calibrated run count, the crew's
-        // cross-core dispatch costs more than the splices — issue them
-        // from this thread instead.
-        const bool splice_inline =
-            crew_ != nullptr &&
-            index->run_count() <= inline_splice_threshold_;
-        MergeExecutor& chosen =
-            splice_inline ? static_cast<MergeExecutor&>(inline_executor_)
-                          : *executor_;
         util::Status status =
-            index->merge(sandbox.merge_vcpus(), queue, chosen);
+            index->merge(sandbox.merge_vcpus(), queue, splicer_);
         if (status.is_ok()) {
           fast_path_done = true;
-          if (splice_inline) {
-            inline_splices_.fetch_add(1, std::memory_order_relaxed);
-          }
         } else {
           // merge() refuses without mutating A or B, so the degraded walk
           // below still sees the full merge_vcpus list.

@@ -107,34 +107,11 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   [[nodiscard]] UllRunQueueManager& ull_manager() noexcept { return *ull_; }
   [[nodiscard]] const HorseConfig& config() const noexcept { return config_; }
   [[nodiscard]] const HorseFeatures& features() const noexcept { return features_; }
-  [[nodiscard]] MergeExecutor& executor() noexcept { return *executor_; }
-  /// The parallel crew, or nullptr in sequential mode (for crew stats and
-  /// watchdog introspection).
-  [[nodiscard]] ParallelMergeCrew* crew() noexcept { return crew_; }
-
-  /// Adaptive inline-splice crossover in effect: fast-path merges with at
-  /// most this many runs splice on the resuming thread instead of the
-  /// crew. 0 in sequential mode (the main executor is already inline) or
-  /// when the crew wins even at one run; set from
-  /// HorseConfig::inline_splice_max_runs or the startup micro-calibration.
-  [[nodiscard]] std::uint32_t inline_splice_threshold() const noexcept {
-    return inline_splice_threshold_;
-  }
-  /// Fast-path merges the crossover routed to the inline executor.
-  [[nodiscard]] std::uint64_t inline_splice_count() const noexcept {
-    return inline_splices_.load(std::memory_order_acquire);
-  }
-
   [[nodiscard]] ResumeDegradationStats degradation_stats() const noexcept;
 
   /// Snapshot of the per-stage cycle accounting (copy under an internal
   /// spinlock; ~10 KB, so call this from reporting paths, not hot loops).
   [[nodiscard]] ResumeCycleStats cycle_stats() const;
-
-  /// Pre-arm / disarm the parallel crew around a resume burst (no-op in
-  /// sequential mode).
-  void arm_crew() noexcept;
-  void disarm_crew() noexcept;
 
   /// HORSE resume: prologue, then 𝒫²𝒮ℳ merge (step ④, freshening a stale
   /// index in place first) and coalesced load update (step ⑤), then
@@ -168,10 +145,6 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   void freshen_in_place(P2smIndex& index, sched::VcpuList& merge_vcpus,
                         sched::RunQueue& queue);
 
-  /// Resolve the inline-splice crossover from config or, in auto mode,
-  /// from the startup micro-calibration against the freshly built crew.
-  [[nodiscard]] std::uint32_t resolve_inline_splice_threshold();
-
   HorseConfig config_;
   HorseFeatures features_;
   /// Owned in the standalone shape, null in the sharded shape; ull_ is the
@@ -180,13 +153,9 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   std::unique_ptr<UllRunQueueManager> owned_ull_;
   UllRunQueueManager* ull_ = nullptr;
   LoadCoalescer coalescer_;
-  std::unique_ptr<MergeExecutor> executor_;
-  ParallelMergeCrew* crew_ = nullptr;  // non-null in parallel mode
-  /// Inline lane for the adaptive crossover: small splice sets bypass the
-  /// crew's cross-core dispatch entirely.
-  SequentialMergeExecutor inline_executor_;
-  std::uint32_t inline_splice_threshold_ = 0;
-  std::atomic<std::uint64_t> inline_splices_{0};
+  /// Step ④'s splices run inline on the resuming thread (EXPERIMENTS.md
+  /// E8: cross-core dispatch costs more than the splices at 1–36 vCPUs).
+  SequentialMergeExecutor splicer_;
 
   // Cycle accounting. The recording site runs after the epilogue released
   // resume_lock_, so a spinlock (last in the lock hierarchy, leaf-only)

@@ -1,12 +1,11 @@
 // Seeded, deterministic fault injection — compiled out in release builds.
 //
-// The degradation ladder (crew watchdog, stale-index fallback, platform
-// retry rungs) only earns its keep if the failures it guards against can
-// be produced on demand, deterministically, in tests. This header is the
-// mechanism: failure-prone code carries named HORSE_FAULT_POINT("site")
-// markers at the exact decision points that can go wrong — 𝒫²𝒮ℳ index
-// build/splice, merge-crew dispatch, the resume prologue, snapshot
-// restore, warm-pool park/take. In a normal (fault-armed) build the macro
+// The degradation ladder (poisoned-index fallback, platform retry rungs)
+// only earns its keep if the failures it guards against can be produced
+// on demand, deterministically, in tests. This header is the mechanism:
+// failure-prone code carries named HORSE_FAULT_POINT("site") markers at
+// the exact decision points that can go wrong — 𝒫²𝒮ℳ index build/splice,
+// the resume prologue, snapshot restore, warm-pool park/take. In a normal (fault-armed) build the macro
 // is one relaxed atomic load when nothing is armed; in the `release`
 // preset (-DHORSE_FAULT_INJECTION=OFF) it is the constant `false` and the
 // fault plumbing does not exist, exactly like HORSE_DCHECK.
@@ -28,8 +27,8 @@
 // experiments can assert both that faults fired and how often the
 // fallbacks engaged.
 //
-// Thread-safety: should_fire() may be called concurrently from crew
-// workers and resume threads; arming/disarming is mutex-protected and
+// Thread-safety: should_fire() may be called concurrently from resume
+// threads; arming/disarming is mutex-protected and
 // meant for test setup/teardown, not hot paths.
 #pragma once
 

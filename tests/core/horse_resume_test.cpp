@@ -290,49 +290,6 @@ TEST_F(HorseResumeTest, CoalescingOnlyFeatureSet) {
   ASSERT_TRUE(coal.destroy(*sandbox).is_ok());
 }
 
-TEST_F(HorseResumeTest, ParallelMergeModeProducesSameResult) {
-  sched::CpuTopology topo(4);
-  HorseConfig config;
-  config.merge_mode = MergeMode::kParallel;
-  config.crew_size = 2;
-  HorseResumeEngine parallel(topo, vmm::VmmProfile::firecracker(), config);
-  auto sandbox = make_sandbox(8, true);
-  ASSERT_TRUE(parallel.start(*sandbox).is_ok());
-  parallel.arm_crew();
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    ASSERT_TRUE(parallel.pause(*sandbox).is_ok());
-    ASSERT_TRUE(parallel.resume(*sandbox).is_ok());
-    ASSERT_EQ(topo.queue(3).size(), 8u);
-    ASSERT_TRUE(topo.queue(3).is_sorted());
-  }
-  parallel.disarm_crew();
-  ASSERT_TRUE(parallel.destroy(*sandbox).is_ok());
-}
-
-TEST_F(HorseResumeTest, FaultFreeParallelEngineLeavesCrewStatsZero) {
-  // Construction auto-calibrates the inline-splice crossover with a burst
-  // of back-to-back crew dispatches; with no fault injected, no worker may
-  // miss one. A watchdog steal here is a bug the ladder would hide.
-  sched::CpuTopology topo(4);
-  HorseConfig config;
-  config.merge_mode = MergeMode::kParallel;
-  config.crew_size = 2;
-  HorseResumeEngine parallel(topo, vmm::VmmProfile::firecracker(), config);
-  ASSERT_NE(parallel.crew(), nullptr);
-  auto sandbox = make_sandbox(8, true);
-  ASSERT_TRUE(parallel.start(*sandbox).is_ok());
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    ASSERT_TRUE(parallel.pause(*sandbox).is_ok());
-    ASSERT_TRUE(parallel.resume(*sandbox).is_ok());
-  }
-  ASSERT_TRUE(parallel.destroy(*sandbox).is_ok());
-  const MergeCrewStats stats = parallel.crew()->stats();
-  EXPECT_EQ(stats.watchdog_steals, 0u);
-  EXPECT_EQ(stats.workers_quarantined, 0u);
-  EXPECT_EQ(stats.workers_respawned, 0u);
-  EXPECT_EQ(stats.full_sequential_fallbacks, 0u);
-}
-
 TEST_F(HorseResumeTest, BreakdownHasMergeAndLoadSteps) {
   auto sandbox = make_sandbox(16, true);
   ASSERT_TRUE(engine_.start(*sandbox).is_ok());

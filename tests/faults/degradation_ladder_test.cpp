@@ -1,11 +1,6 @@
 // The graceful-degradation ladder, rung by rung, driven by injected
 // faults:
 //
-//   crew rung      — a stalled/dead merge worker is stolen from by the
-//                    dispatcher watchdog, quarantined, and respawned; with
-//                    the respawn budget exhausted the crew demotes itself
-//                    to a full sequential executor. The resume succeeds
-//                    either way.
 //   engine rung    — a poisoned 𝒫²𝒮ℳ index demotes one resume to the
 //                    vanilla sorted-merge walk. The resume succeeds. (A
 //                    merely stale index is no rung: step ④ freshens it in
@@ -50,108 +45,6 @@ class FaultLadderTest : public ::testing::Test {
   void SetUp() override { FaultInjector::global().reset(); }
   void TearDown() override { FaultInjector::global().reset(); }
 };
-
-// ---------------------------------------------------------------------------
-// Crew rung: watchdog steal, quarantine, respawn, full sequential demotion.
-// ---------------------------------------------------------------------------
-
-core::HorseConfig parallel_config() {
-  core::HorseConfig config;
-  config.merge_mode = core::MergeMode::kParallel;
-  config.crew_size = 2;
-  config.crew_watchdog_timeout = 5 * util::kMillisecond;
-  // The crew-rung scenarios inject faults into crew workers, so every
-  // merge must actually dispatch to the crew — disable the adaptive
-  // inline-splice shortcut.
-  config.inline_splice_max_runs = 0;
-  return config;
-}
-
-TEST_F(FaultLadderTest, WatchdogStealsFromStalledWorkerAndRespawns) {
-  sched::CpuTopology topology(8);
-  core::HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker(),
-                                 parallel_config());
-  auto sandbox = make_ull_sandbox(1, 4);
-  ASSERT_TRUE(engine.start(*sandbox).is_ok());
-  ASSERT_TRUE(engine.pause(*sandbox).is_ok());
-
-  {
-    auto fault = ScopedFault::nth("crew.worker_stall", 1);
-    ASSERT_TRUE(engine.resume(*sandbox).is_ok());
-  }
-
-  // The splice completed exactly once despite the stall: all vCPUs landed
-  // on the reserved queue and it stayed sorted.
-  EXPECT_EQ(topology.queue(7).size(), 4u);
-  EXPECT_TRUE(topology.queue(7).is_sorted());
-
-  ASSERT_NE(engine.crew(), nullptr);
-  const core::MergeCrewStats stats = engine.crew()->stats();
-  EXPECT_GE(stats.watchdog_steals, 1u);
-  EXPECT_GE(stats.workers_quarantined, 1u);
-  EXPECT_GE(stats.workers_respawned, 1u);
-  EXPECT_EQ(stats.full_sequential_fallbacks, 0u);
-  // The quarantined slot was refilled: the crew is back to full strength.
-  EXPECT_EQ(engine.crew()->healthy_workers(), 2u);
-  // The degraded chunk never degraded the *resume*: the index was fine.
-  EXPECT_EQ(engine.degradation_stats().fallback_merges, 0u);
-
-  ASSERT_TRUE(engine.destroy(*sandbox).is_ok());
-}
-
-TEST_F(FaultLadderTest, WatchdogStealsFromDeadWorker) {
-  sched::CpuTopology topology(8);
-  core::HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker(),
-                                 parallel_config());
-  auto sandbox = make_ull_sandbox(1, 4);
-  ASSERT_TRUE(engine.start(*sandbox).is_ok());
-  ASSERT_TRUE(engine.pause(*sandbox).is_ok());
-
-  {
-    auto fault = ScopedFault::nth("crew.worker_death", 1);
-    ASSERT_TRUE(engine.resume(*sandbox).is_ok());
-  }
-
-  EXPECT_EQ(topology.queue(7).size(), 4u);
-  EXPECT_TRUE(topology.queue(7).is_sorted());
-  const core::MergeCrewStats stats = engine.crew()->stats();
-  EXPECT_GE(stats.watchdog_steals, 1u);
-  EXPECT_GE(stats.workers_quarantined, 1u);
-  EXPECT_GE(stats.workers_respawned, 1u);
-  EXPECT_EQ(engine.crew()->healthy_workers(), 2u);
-
-  ASSERT_TRUE(engine.destroy(*sandbox).is_ok());
-}
-
-TEST_F(FaultLadderTest, ExhaustedRespawnBudgetDemotesToFullSequential) {
-  sched::CpuTopology topology(8);
-  core::HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker(),
-                                 parallel_config());
-  ASSERT_NE(engine.crew(), nullptr);
-  engine.crew()->set_max_respawns_per_slot(0);  // fail-static: never respawn
-
-  auto sandbox = make_ull_sandbox(1, 4);
-  ASSERT_TRUE(engine.start(*sandbox).is_ok());
-
-  // Every worker that picks up a chunk dies. With no respawn budget, each
-  // resume burns through one worker until none are left; from then on the
-  // crew runs every dispatch inline. All resumes must still succeed.
-  auto fault = ScopedFault::always("crew.worker_death");
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    ASSERT_TRUE(engine.pause(*sandbox).is_ok());
-    ASSERT_TRUE(engine.resume(*sandbox).is_ok()) << "cycle " << cycle;
-    EXPECT_EQ(topology.queue(7).size(), 4u);
-    EXPECT_TRUE(topology.queue(7).is_sorted());
-  }
-
-  const core::MergeCrewStats stats = engine.crew()->stats();
-  EXPECT_EQ(engine.crew()->healthy_workers(), 0u);
-  EXPECT_EQ(stats.workers_respawned, 0u);
-  EXPECT_GE(stats.workers_quarantined, 1u);
-  EXPECT_GE(stats.full_sequential_fallbacks, 1u);
-
-  ASSERT_TRUE(engine.destroy(*sandbox).is_ok());
-}
 
 // ---------------------------------------------------------------------------
 // Engine rung: a stale 𝒫²𝒮ℳ index is freshened in place; only a poisoned

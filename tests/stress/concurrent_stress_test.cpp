@@ -151,45 +151,6 @@ TEST(ConcurrentStressTest, MixedUllAndPlainSandboxes) {
   }
 }
 
-TEST(ConcurrentStressTest, ParallelCrewUnderConcurrentResumes) {
-  sched::CpuTopology topology(8);
-  core::HorseConfig config;
-  config.merge_mode = core::MergeMode::kParallel;
-  config.crew_size = 2;
-  core::HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker(),
-                                 config);
-
-  constexpr int kThreads = 3;
-  std::vector<std::unique_ptr<vmm::Sandbox>> sandboxes;
-  for (int t = 0; t < kThreads; ++t) {
-    sandboxes.push_back(make_sandbox(static_cast<sched::SandboxId>(t + 1), 4,
-                                     /*ull=*/true));
-    ASSERT_TRUE(engine.start(*sandboxes.back()).is_ok());
-  }
-  std::atomic<int> failures{0};
-  {
-    std::vector<std::jthread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        vmm::Sandbox& sandbox = *sandboxes[static_cast<std::size_t>(t)];
-        for (int cycle = 0; cycle < 50; ++cycle) {
-          if (!engine.pause(sandbox).is_ok() ||
-              !engine.resume(sandbox).is_ok()) {
-            failures.fetch_add(1);
-            return;
-          }
-        }
-      });
-    }
-  }
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_TRUE(topology.queue(7).is_sorted());
-  EXPECT_EQ(topology.queue(7).size(), 12u);
-  for (auto& sandbox : sandboxes) {
-    EXPECT_TRUE(engine.destroy(*sandbox).is_ok());
-  }
-}
-
 TEST(ConcurrentStressTest, RunQueueDirectContention) {
   // Raw queue-level mutual exclusion: threads hammer one queue with
   // insert/remove; counts and sortedness must survive.

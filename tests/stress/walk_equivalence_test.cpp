@@ -2,7 +2,7 @@
 // sandboxes and credits, the branchless/SIMD credit walk (and the
 // cache-packed RunEntry merge loop behind it) must produce bit-identical
 // queue orderings to the scalar path — ties included — through the full
-// pause/resume engine, on both merge executors.
+// pause/resume engine.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -47,15 +47,11 @@ SweepCase make_case(std::uint64_t seed) {
 
 // Resume a resident sandbox onto the reserved queue, then merge a probe
 // into the now-populated queue, and return the final ordering.
-QueueOrder run_config(const SweepCase& sweep, bool branchless,
-                      MergeMode mode) {
+QueueOrder run_config(const SweepCase& sweep, bool branchless) {
   sched::CpuTopology topology(4);
   HorseConfig config;
   config.num_ull_runqueues = 1;
   config.branchless_walk = branchless;
-  config.merge_mode = mode;
-  config.crew_size = 2;
-  config.inline_splice_max_runs = 0;  // parallel arm: always dispatch
   HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker(), config,
                            HorseFeatures::all());
 
@@ -96,27 +92,18 @@ QueueOrder run_config(const SweepCase& sweep, bool branchless,
   return order;
 }
 
-TEST(WalkEquivalenceStressTest, BranchlessMatchesScalarBothExecutors) {
+TEST(WalkEquivalenceStressTest, BranchlessMatchesScalar) {
   // The 1024-seed bit-identical-ordering claim is established on the
-  // uninstrumented presets; each seed spins up four full engines (crew
-  // threads included), so under tsan's ~10x memory-access tax the full
-  // sweep blows the CI stress time-box. The sanitizer presets keep the
-  // same code paths under race/UB scrutiny at a reduced seed count.
+  // uninstrumented presets; each seed spins up two full engines, so under
+  // tsan's ~10x memory-access tax the full sweep blows the CI stress
+  // time-box. The sanitizer presets keep the same code paths under
+  // race/UB scrutiny at a reduced seed count.
   constexpr std::uint64_t kSeeds = HORSE_UNDER_SANITIZER ? 96 : 1024;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     const SweepCase sweep = make_case(seed);
-    const QueueOrder scalar =
-        run_config(sweep, /*branchless=*/false, MergeMode::kSequential);
-    const QueueOrder branchless =
-        run_config(sweep, /*branchless=*/true, MergeMode::kSequential);
-    ASSERT_EQ(branchless, scalar) << "sequential executor, seed " << seed;
-
-    const QueueOrder scalar_crew =
-        run_config(sweep, /*branchless=*/false, MergeMode::kParallel);
-    const QueueOrder branchless_crew =
-        run_config(sweep, /*branchless=*/true, MergeMode::kParallel);
-    ASSERT_EQ(scalar_crew, scalar) << "crew vs sequential, seed " << seed;
-    ASSERT_EQ(branchless_crew, scalar) << "crew branchless, seed " << seed;
+    const QueueOrder scalar = run_config(sweep, /*branchless=*/false);
+    const QueueOrder branchless = run_config(sweep, /*branchless=*/true);
+    ASSERT_EQ(branchless, scalar) << "seed " << seed;
   }
 }
 
