@@ -225,10 +225,14 @@ int main(int argc, char** argv) {
       return metrics::format_nanos(static_cast<double>(
           util::CycleClock::cycles_to_nanos(cycles / cs.resumes)));
     };
-    metrics::TextTable stages("Cycle budget per stage (mean ns, all arm)",
-                              {"prologue", "lookup", "splice", "publish"});
-    stages.add_row({per_stage(cs.prologue_cycles), per_stage(cs.lookup_cycles),
-                    per_stage(cs.splice_cycles), per_stage(cs.publish_cycles)});
+    metrics::TextTable stages(
+        "Cycle budget per stage (mean ns, all arm; prologue = parse + lock + "
+        "sanity)",
+        {"parse", "lock", "sanity", "prologue", "lookup", "splice", "publish"});
+    stages.add_row({per_stage(cs.parse_cycles), per_stage(cs.lock_cycles),
+                    per_stage(cs.sanity_cycles), per_stage(cs.prologue_cycles),
+                    per_stage(cs.lookup_cycles), per_stage(cs.splice_cycles),
+                    per_stage(cs.publish_cycles)});
     stages.print(std::cout);
     std::cout << "resume cycles p99: " << cs.total_cycles.p99() << " ("
               << metrics::format_nanos(static_cast<double>(

@@ -54,7 +54,7 @@ int main() {
       std::size_t count = 0;
       for (const auto& sandbox : sandboxes) {
         const auto assignment =
-            engine.ull_manager().assignment(sandbox->id());
+            engine.ull_manager().assignment(*sandbox);
         if (assignment && *assignment == cpu) {
           ++count;
         }

@@ -530,14 +530,6 @@ std::vector<std::uint64_t> SimCluster::dispatch_counts() const {
   return out;
 }
 
-std::vector<metrics::Histogram> SimCluster::latency_by_host() const {
-  std::vector<metrics::Histogram> out(hosts_.size());
-  for (const SimCompletion& done : completions_) {
-    out[done.host].record(done.latency());
-  }
-  return out;
-}
-
 metrics::Histogram SimCluster::queueing_histogram() const {
   metrics::Histogram out;
   for (const SimCompletion& done : completions_) {

@@ -134,7 +134,6 @@ struct SimCompletion {
   std::uint32_t chain_stages = 0;
 
   [[nodiscard]] util::Nanos queueing() const noexcept { return start - arrival; }
-  [[nodiscard]] util::Nanos latency() const noexcept { return finish - arrival; }
   /// A completion with a deadline counts toward goodput iff it finished
   /// in time.
   [[nodiscard]] bool met_deadline() const noexcept {
@@ -223,9 +222,6 @@ class SimCluster {
   void recover_host(HostId host, util::Nanos at,
                     std::size_t rehydrated_warm_slots);
 
-  [[nodiscard]] bool host_crashed(HostId host) const {
-    return hosts_.at(host).crashed;
-  }
   /// Zombie completions dropped by the dedup ledger (each orphaned seq
   /// completes exactly once; the other sighting lands here).
   [[nodiscard]] std::uint64_t duplicates_suppressed() const noexcept {
@@ -251,8 +247,6 @@ class SimCluster {
   [[nodiscard]] std::size_t forced_routes() const noexcept { return forced_; }
   [[nodiscard]] util::Nanos now() const noexcept { return now_; }
 
-  /// Per-host end-to-end latency histograms (arrival → finish).
-  [[nodiscard]] std::vector<metrics::Histogram> latency_by_host() const;
   /// Merged queueing-delay histogram (arrival → start).
   [[nodiscard]] metrics::Histogram queueing_histogram() const;
 

@@ -22,9 +22,9 @@ struct HorseConfig {
   /// vanilla sorted-walk fallback (RunQueue::merge_sorted) instead of the
   /// per-vCPU insert_sorted loop.
   bool branchless_walk = true;
-  /// Retire untracked 𝒫²𝒮ℳ run nodes to the per-queue epoch reclaimer
-  /// (freed later in maintenance) instead of destroying them inline under
-  /// the ull-manager mutex on the resume path.
+  /// Retire a destroyed sandbox's 𝒫²𝒮ℳ node to the per-queue epoch
+  /// reclaimer (freed later in maintenance) instead of freeing it inline
+  /// in UllRunQueueManager::release().
   bool epoch_reclaim = true;
 
   void validate() const {

@@ -88,8 +88,8 @@ util::Status HorseResumeEngine::hotplug_vcpu_locked(vmm::Sandbox& sandbox) {
   if (!sandbox.config().ull || !features_.use_p2sm) {
     HORSE_RETURN_IF_ERROR(ResumeEngine::hotplug_vcpu_locked(sandbox));
   } else {
-    P2smIndex* index = ull_->index_of(sandbox.id());
-    const auto assignment = ull_->assignment(sandbox.id());
+    P2smIndex* index = ull_->index_of(sandbox);
+    const auto assignment = ull_->assignment(sandbox);
     if (index == nullptr || !assignment) {
       return {util::StatusCode::kFailedPrecondition,
               "hotplug: sandbox not tracked by the ull manager"};
@@ -137,14 +137,20 @@ util::Status HorseResumeEngine::unplug_vcpu_locked(vmm::Sandbox& sandbox) {
       return {util::StatusCode::kFailedPrecondition,
               "unplug: at least one vCPU must remain"};
     }
-    P2smIndex* index = ull_->index_of(sandbox.id());
-    if (index == nullptr) {
+    P2smIndex* index = ull_->index_of(sandbox);
+    const auto assignment = ull_->assignment(sandbox);
+    if (index == nullptr || !assignment) {
       return {util::StatusCode::kFailedPrecondition,
               "unplug: sandbox not tracked by the ull manager"};
     }
     sched::Vcpu& victim = sandbox.vcpu(sandbox.num_vcpus() - 1);
-    // §4.1.1 incremental delete: O(m) run walk, unlinks from A.
-    HORSE_RETURN_IF_ERROR(index->remove_from_a(sandbox.merge_vcpus(), victim));
+    {
+      // §4.1.1 incremental delete: O(m) run walk, unlinks from A. Under
+      // the queue lock, like every other write to a tracked index.
+      util::LockGuard guard(topology_.queue(*assignment).lock());
+      HORSE_RETURN_IF_ERROR(
+          index->remove_from_a(sandbox.merge_vcpus(), victim));
+    }
     HORSE_RETURN_IF_ERROR(sandbox.remove_last_vcpu());
   }
   if (features_.use_coalescing && sandbox.config().ull) {
@@ -153,7 +159,7 @@ util::Status HorseResumeEngine::unplug_vcpu_locked(vmm::Sandbox& sandbox) {
   return util::Status::ok();
 }
 
-util::Status HorseResumeEngine::resume_fallback_merge(
+void HorseResumeEngine::resume_fallback_merge(
     vmm::Sandbox& sandbox, sched::CpuId cpu, vmm::ResumeBreakdown& breakdown) {
   // Vanilla step ④ onto the assigned queue: a per-vCPU sorted walk instead
   // of the O(1) splice. Used by the coal-only ablation AND as the
@@ -179,7 +185,6 @@ util::Status HorseResumeEngine::resume_fallback_merge(
   breakdown.merge += watch.elapsed() +
                      static_cast<util::Nanos>(sandbox.num_vcpus()) *
                          profile_.resume_per_vcpu_tax;
-  return util::Status::ok();
 }
 
 void HorseResumeEngine::freshen_in_place(P2smIndex& index,
@@ -214,25 +219,20 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
   vmm::ResumeBreakdown& bd = breakdown != nullptr ? *breakdown : local;
   bd = {};
 
-  // Per-stage cycle boundaries (tentpole item 1): five fenced rdtsc reads
-  // on the fast path, off when the baseline arm disables cycle_timing or
-  // the target has no usable counter.
+  // Per-stage cycle boundaries: the prologue's own stage timer supplies
+  // c0 and c1, so the fast path adds three fenced rdtsc reads; off when
+  // the baseline arm disables cycle_timing or the target has no counter.
   const bool cycle_accounting = cycle_timing_ && util::CycleClock::available();
-  const std::uint64_t c0 = cycle_accounting ? util::CycleClock::now() : 0;
+  vmm::PrologueStamps stamps;
+  HORSE_RETURN_IF_ERROR(run_prologue(sandbox, bd, &stamps));
 
-  HORSE_RETURN_IF_ERROR(run_prologue(sandbox, bd));
-  const std::uint64_t c1 = cycle_accounting ? util::CycleClock::now() : 0;
-
-  // ONE manager-lock acquisition for assignment + index (pre-PR-10 code
-  // paid two: assignment() here and index_of() inside step ④). The queue's
-  // reclamation epoch is pinned INSIDE that hold, while the node is still
-  // tracked: a concurrent untrack (rogue destroy racing this resume) can
-  // only retire the node after the pin is visible, so the reclaimer
-  // cannot free it until the guard unpins. Pinning after lookup() returns
-  // would leave a window where maintenance pumps advance the epoch and
-  // free the index under step ④.
+  // The sandbox carries its queue slot and 𝒫²𝒮ℳ node, so the lookup is
+  // a lock-free read. It pins the queue's reclamation epoch while the
+  // index is in use: release() is the only path that retires a node, so
+  // a destroy racing this resume cannot have the index freed under step
+  // ④ until the guard unpins.
   std::optional<util::EpochReclaimer::ReadGuard> epoch_pin;
-  const auto looked = ull_->lookup(sandbox.id(), &epoch_pin);
+  const auto looked = ull_->lookup(sandbox, &epoch_pin);
   if (!looked) {
     resume_lock_.unlock();
     return looked.status();
@@ -243,6 +243,7 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
   const std::uint64_t c2 = cycle_accounting ? util::CycleClock::now() : 0;
 
   // --- step ④: one 𝒫²𝒮ℳ merge, degrading to the vanilla sorted walk ------
+  bool fast_path_done = false;
   if (features_.use_p2sm) {
     vmm::StageTimer watch(cycle_timing_);
     P2smIndex* index = (*looked).index;
@@ -252,10 +253,9 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
               "horse: sandbox not tracked (was pause() skipped?)"};
     }
 
-    // Freshen and merge under ONE queue-lock hold, so no other splice or
-    // pause can stale the index in between; release it before a degraded
-    // walk, which takes the lock itself.
-    bool fast_path_done = false;
+    // Freshen, merge and untrack under ONE queue-lock hold, so no other
+    // splice or pause can stale the index in between; release it before a
+    // degraded walk, which takes the lock itself.
     {
       util::LockGuard guard(queue.lock());
       if (HORSE_FAULT_POINT("horse.resume.stale_index")) {
@@ -275,6 +275,7 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
             index->merge(sandbox.merge_vcpus(), queue, splicer_);
         if (status.is_ok()) {
           fast_path_done = true;
+          ull_->untrack_locked(sandbox);
         } else {
           // merge() refuses without mutating A or B, so the degraded walk
           // below still sees the full merge_vcpus list.
@@ -295,21 +296,14 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
     } else {
       // Degradation rung: the index is poisoned or merge() refused, but
       // the resume must still succeed — fall back to the vanilla sorted
-      // walk, which is correct at any index state. The index dies with
-      // this resume's untrack, so nothing is left to repair.
+      // walk below, which is correct at any index state. The next pause
+      // rebuilds the index, so nothing is left to repair.
       fallback_merges_.fetch_add(1, std::memory_order_relaxed);
-      if (util::Status status = resume_fallback_merge(sandbox, cpu, bd);
-          !status.is_ok()) {
-        resume_lock_.unlock();
-        return status;
-      }
     }
-  } else {
-    if (util::Status status = resume_fallback_merge(sandbox, cpu, bd);
-        !status.is_ok()) {
-      resume_lock_.unlock();
-      return status;
-    }
+  }
+  if (!fast_path_done) {
+    resume_fallback_merge(sandbox, cpu, bd);
+    ull_->untrack(sandbox);
   }
 
   // Step ④ done: the index pointer is dead from here on, so drop the pin
@@ -336,28 +330,28 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
     bd.load_update = watch.elapsed();
   }
 
-  // Manager bookkeeping happens BEFORE the epilogue drops resume_lock_.
-  // The manager is internally locked now, so this is no longer about map
-  // races — it preserves the state-machine invariant that a sandbox seen
-  // as kRunning by other control-plane paths is never still tracked (its
-  // index_of() pointer would dangle once the invoker hands the sandbox to
-  // the workload).
+  // Step ④ untracked the sandbox BEFORE the epilogue drops resume_lock_,
+  // so a sandbox seen as kRunning by other control-plane paths is never
+  // still tracked.
   sandbox.coalesce().valid = false;
-  ull_->untrack(sandbox.id());
 
   run_epilogue(sandbox, bd);
   const std::uint64_t c4 = cycle_accounting ? util::CycleClock::now() : 0;
 
   if (cycle_accounting) {
     // Off the timed path (after c4); the spinlock is a leaf lock held for
-    // five adds and one allocation-free histogram record.
+    // a few adds and one allocation-free histogram record.
     util::LockGuard guard(cycle_stats_lock_);
     ++cycle_stats_.resumes;
-    cycle_stats_.prologue_cycles += c1 - c0;
-    cycle_stats_.lookup_cycles += c2 - c1;
+    cycle_stats_.parse_cycles += stamps.parsed - stamps.start;
+    cycle_stats_.lock_cycles += stamps.locked - stamps.parsed;
+    cycle_stats_.sanity_cycles += stamps.checked - stamps.locked;
+    cycle_stats_.prologue_cycles += stamps.checked - stamps.start;
+    cycle_stats_.lookup_cycles += c2 - stamps.checked;
     cycle_stats_.splice_cycles += c3 - c2;
     cycle_stats_.publish_cycles += c4 - c3;
-    cycle_stats_.total_cycles.record(static_cast<util::Nanos>(c4 - c0));
+    cycle_stats_.total_cycles.record(
+        static_cast<util::Nanos>(c4 - stamps.start));
   }
   return util::Status::ok();
 }

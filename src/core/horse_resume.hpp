@@ -43,15 +43,19 @@ struct HorseFeatures {
 /// HorseConfig::cycle_timing is on AND CycleClock has a real counter; the
 /// stage sums are raw TSC cycles (convert with CycleClock::cycles_to_nanos
 /// for reporting). Stage boundaries:
-///   prologue   — steps ①-③ (parse, lock, sanity)
-///   lookup     — the single manager-lock assignment+index fetch
+///   prologue   — steps ①-③, exactly parse + lock + sanity (the three
+///                run_prologue stage timings, no extra clock read)
+///   lookup     — the lock-free slot read + epoch pin
 ///   splice     — step ④ (in-place freshening of a stale index, 𝒫²𝒮ℳ merge
-///                or the fallback walk) + vCPU state
-///   publish    — step ⑤ load update, untrack/retire, step ⑥ epilogue
+///                or the fallback walk), untrack, vCPU state
+///   publish    — step ⑤ load update, step ⑥ epilogue
 /// total_cycles is the whole-resume distribution (recorded in cycles, so
 /// its quantiles are cycle counts, not nanoseconds).
 struct ResumeCycleStats {
   std::uint64_t resumes = 0;
+  std::uint64_t parse_cycles = 0;
+  std::uint64_t lock_cycles = 0;
+  std::uint64_t sanity_cycles = 0;
   std::uint64_t prologue_cycles = 0;
   std::uint64_t lookup_cycles = 0;
   std::uint64_t splice_cycles = 0;
@@ -134,9 +138,8 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   util::Status unplug_vcpu_locked(vmm::Sandbox& sandbox) override;
 
  private:
-  util::Status resume_fallback_merge(vmm::Sandbox& sandbox,
-                                     sched::CpuId cpu,
-                                     vmm::ResumeBreakdown& breakdown);
+  void resume_fallback_merge(vmm::Sandbox& sandbox, sched::CpuId cpu,
+                             vmm::ResumeBreakdown& breakdown);
 
   /// Bring a stale, unpoisoned index fresh against `queue` (caller holds
   /// the queue lock): journal repair() when the version gap is coverable

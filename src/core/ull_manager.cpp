@@ -1,15 +1,18 @@
 #include "core/ull_manager.hpp"
 
-#include <limits>
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/spinlock.hpp"
 
 namespace horse::core {
 
 namespace {
-/// All map/counter mutation happens under this metered guard.
+/// Registry and reserved-set mutation happens under this metered guard.
 using ManagerLock = metrics::MeteredLock<std::mutex>;
+constexpr std::uint32_t kUnassigned = vmm::UllSlot::kUnassigned;
+constexpr sched::CpuId kUntracked = TrackedNode::kUntracked;
 }  // namespace
 
 UllRunQueueManager::UllRunQueueManager(sched::CpuTopology& topology,
@@ -18,226 +21,252 @@ UllRunQueueManager::UllRunQueueManager(sched::CpuTopology& topology,
       epoch_reclaim_(config.epoch_reclaim),
       branchless_walk_(config.branchless_walk) {
   config.validate();
-  if (config.num_ull_runqueues >= topology.num_cpus()) {
+  if (config.num_ull_runqueues >= topology.num_cpus() ||
+      config.num_ull_runqueues > kMaxQueues) {
     throw std::invalid_argument(
-        "UllRunQueueManager: cannot reserve every CPU for uLL");
+        "UllRunQueueManager: cannot reserve every CPU (or > kMaxQueues)");
   }
   const auto n = static_cast<sched::CpuId>(topology.num_cpus());
   for (sched::CpuId i = 0; i < config.num_ull_runqueues; ++i) {
     const sched::CpuId cpu = n - 1 - i;
     topology.reserve_for_ull(cpu);
+    reserved_[i].store(cpu, std::memory_order_relaxed);
     ull_cpus_.push_back(cpu);
   }
-  occupancy_.assign(ull_cpus_.size(), 0);
+  num_reserved_.store(ull_cpus_.size());
 }
 
 UllRunQueueManager::~UllRunQueueManager() {
-  // Still-tracked nodes are owned by the map; retired ones by the queue
+  // Live nodes are owned by the registry; retired ones by the queue
   // reclaimers. Drain the latter too — by the time the manager dies the
   // platform guarantees no resume is in flight, so no reader can be
   // pinned, and leaving garbage for the topology's (later) destruction
   // would just hide leaks from the sanitizer runs.
-  for (auto& [id, node] : tracked_) {
-    delete node;
+  while (!nodes_.empty()) {
+    delete &nodes_.pop_front();
   }
   for (const sched::CpuId cpu : ull_cpus_) {
     topology_.queue(cpu).epoch().drain();
   }
 }
 
-void UllRunQueueManager::pump_reclaim(sched::CpuId cpu) noexcept {
-  topology_.queue(cpu).epoch().try_reclaim();
-}
-
-std::size_t& UllRunQueueManager::occupancy_slot(sched::CpuId cpu) {
-  for (std::size_t i = 0; i < ull_cpus_.size(); ++i) {
-    if (ull_cpus_[i] == cpu) {
-      return occupancy_[i];
-    }
+void UllRunQueueManager::release_slot(vmm::UllSlot& slot) noexcept {
+  if (slot.queue != kUnassigned) {
+    occupancy_[slot.queue].value.fetch_sub(1, std::memory_order_release);
+    slot.queue = kUnassigned;
   }
-  throw std::logic_error("ull: occupancy_slot for non-reserved cpu");
 }
 
 sched::CpuId UllRunQueueManager::assign(vmm::Sandbox& sandbox) {
-  ManagerLock lock(mutex_, meter_);
-  // Least-occupied reserved queue, straight from the per-queue counters.
-  std::size_t best_slot = 0;
-  std::size_t best_count = std::numeric_limits<std::size_t>::max();
-  for (std::size_t i = 0; i < ull_cpus_.size(); ++i) {
-    if (occupancy_[i] < best_count) {
-      best_slot = i;
-      best_count = occupancy_[i];
-    }
-  }
-  const sched::CpuId best = ull_cpus_[best_slot];
+  vmm::UllSlot& slot = sandbox.ull_slot();
   // Re-assign without an intervening untrack releases the old slot first,
-  // so the counters always sum to assignments_.size().
-  if (const auto it = assignments_.find(sandbox.id());
-      it != assignments_.end()) {
-    --occupancy_slot(it->second);
+  // so the counters always sum to the number of assigned sandboxes.
+  release_slot(slot);
+  while (true) {
+    const std::size_t n = num_reserved_.load();
+    std::size_t best = 0;
+    std::size_t best_count = occupancy_[0].load(std::memory_order_relaxed);
+    for (std::size_t i = 1; i < n; ++i) {
+      const std::size_t count = occupancy_[i].load(std::memory_order_relaxed);
+      if (count < best_count) {
+        best = i;
+        best_count = count;
+      }
+    }
+    occupancy_[best].value.fetch_add(1);
+    // shrink() hides its victim before it re-checks the victim's counter
+    // (both sides sequentially consistent): either it sees this increment
+    // and keeps the queue, or this re-check sees the shorter set and the
+    // choice is made again.
+    if (best < num_reserved_.load()) {
+      slot.queue = static_cast<std::uint32_t>(best);
+      return reserved_[best].load(std::memory_order_relaxed);
+    }
+    occupancy_[best].value.fetch_sub(1);
   }
-  assignments_[sandbox.id()] = best;
-  ++occupancy_[best_slot];
-  return best;
 }
 
 util::Expected<sched::CpuId> UllRunQueueManager::assignment(
-    sched::SandboxId id) const {
-  ManagerLock lock(mutex_, meter_);
-  const auto it = assignments_.find(id);
-  if (it == assignments_.end()) {
+    const vmm::Sandbox& sandbox) const {
+  const std::uint32_t queue = sandbox.ull_slot().queue;
+  if (queue == kUnassigned) {
     return util::Status{util::StatusCode::kNotFound,
                         "ull: sandbox has no queue assignment"};
   }
-  return it->second;
+  return reserved_[queue].load(std::memory_order_relaxed);
 }
 
 util::Status UllRunQueueManager::track(vmm::Sandbox& sandbox) {
-  sched::CpuId cpu;
-  {
-    ManagerLock lock(mutex_, meter_);
-    const auto it = assignments_.find(sandbox.id());
-    if (it == assignments_.end()) {
-      return {util::StatusCode::kFailedPrecondition,
-              "ull: assign() before track()"};
-    }
-    if (sandbox.merge_vcpus().size() == 0) {
-      return {util::StatusCode::kFailedPrecondition,
-              "ull: sandbox has no parked vCPUs (not paused?)"};
-    }
-    auto* node = new TrackedNode;
+  vmm::UllSlot& slot = sandbox.ull_slot();
+  if (slot.queue == kUnassigned) {
+    return {util::StatusCode::kFailedPrecondition,
+            "ull: assign() before track()"};
+  }
+  if (sandbox.merge_vcpus().size() == 0) {
+    return {util::StatusCode::kFailedPrecondition,
+            "ull: sandbox has no parked vCPUs (not paused?)"};
+  }
+  const sched::CpuId cpu = reserved_[slot.queue].load(std::memory_order_relaxed);
+  TrackedNode* node = slot.node;
+  if (node == nullptr) {
+    // Node birth: the sandbox's one allocation, made visible to the
+    // reporting walks under the manager mutex.
+    node = new TrackedNode;
     node->sandbox = &sandbox;
-    node->cpu = cpu = it->second;
     node->index.set_branchless(branchless_walk_);
-    node->retire.owner = node;
-    node->retire.destroy = &destroy_node;
     {
-      // The build reads the target queue's structure; hold its lock so a
-      // concurrent resume splicing into the same queue cannot interleave.
-      sched::RunQueue& queue = topology_.queue(node->cpu);
-      util::LockGuard guard(queue.lock());
-      node->index.rebuild(sandbox.merge_vcpus(), queue);
+      ManagerLock lock(mutex_, meter_);
+      nodes_.push_back(*node);
     }
-    TrackedNode*& slot = tracked_[sandbox.id()];
-    if (slot != nullptr) {
-      // Re-track without an intervening untrack: the old node follows the
-      // same retire-or-delete path an untrack would have taken.
-      if (epoch_reclaim_) {
-        topology_.queue(slot->cpu).epoch().retire(&slot->retire);
-      } else {
-        delete slot;
-      }
-    }
-    slot = node;
+    slot.node = node;
+  } else if (const sched::CpuId old = node->tracked_on.load(
+                 std::memory_order_relaxed);
+             old != kUntracked) {
+    // Re-track without an intervening resume: leave the old queue first.
+    util::LockGuard guard(topology_.queue(old).lock());
+    node->tracked_on.store(kUntracked, std::memory_order_relaxed);
+  }
+  node->home = cpu;
+  {
+    // The build reads the target queue's structure; hold its lock so a
+    // concurrent resume splicing into the same queue cannot interleave.
+    sched::RunQueue& queue = topology_.queue(cpu);
+    util::LockGuard guard(queue.lock());
+    node->index.rebuild(sandbox.merge_vcpus(), queue);
+    node->tracked_on.store(cpu, std::memory_order_relaxed);
   }
   // Pause-time maintenance is where retired garbage gets freed — off the
   // resume path, holding neither the manager mutex nor any queue lock.
-  pump_reclaim(cpu);
+  // With nothing pending it leaves the epoch alone, so the resumes' pins
+  // keep reading an unchanged counter.
+  util::EpochReclaimer& epoch = topology_.queue(cpu).epoch();
+  if (epoch.pending() != 0) {
+    (void)epoch.try_reclaim();
+  }
   return util::Status::ok();
 }
 
-void UllRunQueueManager::untrack(sched::SandboxId id) {
-  ManagerLock lock(mutex_, meter_);
-  if (const auto it = tracked_.find(id); it != tracked_.end()) {
-    TrackedNode* node = it->second;
-    // Erase first: after this no new reader can look the node up, so the
-    // epoch protocol only has to cover readers already holding a pointer.
-    // Those readers were pinned inside lookup(), under this same mutex —
-    // i.e. strictly before this retire — so the reclaimer cannot free the
-    // node under them.
-    tracked_.erase(it);
-    if (epoch_reclaim_) {
-      topology_.queue(node->cpu).epoch().retire(&node->retire);
-    } else {
-      delete node;
-    }
+void UllRunQueueManager::untrack_locked(vmm::Sandbox& sandbox) noexcept {
+  vmm::UllSlot& slot = sandbox.ull_slot();
+  if (slot.node != nullptr) {
+    slot.node->tracked_on.store(kUntracked, std::memory_order_relaxed);
   }
-  if (const auto it = assignments_.find(id); it != assignments_.end()) {
-    --occupancy_slot(it->second);
-    assignments_.erase(it);
+  release_slot(slot);
+}
+
+void UllRunQueueManager::untrack(vmm::Sandbox& sandbox) {
+  const TrackedNode* node = sandbox.ull_slot().node;
+  const sched::CpuId cpu =
+      node != nullptr ? node->tracked_on.load(std::memory_order_relaxed)
+                      : kUntracked;
+  if (cpu == kUntracked) {
+    release_slot(sandbox.ull_slot());
+    return;
+  }
+  util::LockGuard guard(topology_.queue(cpu).lock());
+  untrack_locked(sandbox);
+}
+
+void UllRunQueueManager::release(vmm::Sandbox& sandbox) {
+  vmm::UllSlot& slot = sandbox.ull_slot();
+  release_slot(slot);
+  TrackedNode* node = std::exchange(slot.node, nullptr);
+  if (node == nullptr) {
+    return;
+  }
+  {
+    // Reporting reads nodes only while holding this mutex, so unlinking
+    // under it hides the node from them without a queue lock.
+    ManagerLock lock(mutex_, meter_);
+    nodes_.erase(*node);
+  }
+  // A resume that pinned this queue's epoch in lookup() before this
+  // retirement keeps the node alive until it unpins.
+  if (epoch_reclaim_) {
+    topology_.queue(node->home).epoch().retire(&node->retire);
+  } else {
+    delete node;
+  }
+}
+
+template <typename Visit>
+void UllRunQueueManager::for_each_tracked_locked(Visit&& visit) const {
+  for (TrackedNode& node : nodes_) {
+    const sched::CpuId cpu = node.tracked_on.load(std::memory_order_relaxed);
+    if (cpu == kUntracked) {
+      continue;
+    }
+    sched::RunQueue& queue = topology_.queue(cpu);
+    util::LockGuard guard(queue.lock());
+    // A resume or re-pause may have moved the node since the load above.
+    if (node.tracked_on.load(std::memory_order_relaxed) == cpu) {
+      visit(node, queue);
+    }
   }
 }
 
 std::size_t UllRunQueueManager::refresh() {
   std::size_t refreshed = 0;
-  std::vector<sched::CpuId> cpus;
   {
     ManagerLock lock(mutex_, meter_);
-    cpus = ull_cpus_;
-    for (auto& [id, node] : tracked_) {
-      sched::RunQueue& queue = topology_.queue(node->cpu);
-      util::LockGuard guard(queue.lock());
-      P2smIndex& index = node->index;
+    for_each_tracked_locked([&](TrackedNode& node, sched::RunQueue& queue) {
+      P2smIndex& index = node.index;
       if (index.fresh(queue) && !index.poisoned()) {
-        continue;
+        return;
       }
+      ++refreshed;
       // Incremental first: replay the queue's mutation journal in
       // O(runs + delta). This is what kills the rebuild storm — N
       // co-resident indexes used to pay O(N·(|A|+|B|)) per queue mutation.
       if (index.built() && !index.poisoned() &&
-          index.repair(node->sandbox->merge_vcpus(), queue).is_ok()) {
-        ++refreshed;
-        continue;
+          index.repair(node.sandbox->merge_vcpus(), queue).is_ok()) {
+        return;
       }
       // Journal gap, poisoning, or a failed audit: the O(|A|+|B|) fallback
       // cures every repair failure mode.
-      index.rebuild(node->sandbox->merge_vcpus(), queue);
-      ++refreshed;
-    }
+      index.rebuild(node.sandbox->merge_vcpus(), queue);
+    });
   }
   // The refresh sweep doubles as the reclaim pump for every reserved
   // queue (refresh runs from ticks/deferred-refresh, never from the
   // timed resume window).
-  for (const sched::CpuId cpu : cpus) {
-    pump_reclaim(cpu);
+  const std::size_t n = num_reserved_.load();
+  for (std::size_t i = 0; i < n; ++i) {
+    (void)topology_.queue(reserved_[i].load(std::memory_order_relaxed))
+        .epoch()
+        .try_reclaim();
   }
   return refreshed;
 }
 
-P2smIndex* UllRunQueueManager::index_of(sched::SandboxId id) {
-  ManagerLock lock(mutex_, meter_);
-  const auto it = tracked_.find(id);
-  return it == tracked_.end() ? nullptr : &it->second->index;
+P2smIndex* UllRunQueueManager::index_of(
+    const vmm::Sandbox& sandbox) const noexcept {
+  TrackedNode* node = sandbox.ull_slot().node;
+  return node != nullptr &&
+                 node->tracked_on.load(std::memory_order_relaxed) != kUntracked
+             ? &node->index
+             : nullptr;
 }
 
 util::Expected<UllRunQueueManager::LookupResult> UllRunQueueManager::lookup(
-    sched::SandboxId id,
+    vmm::Sandbox& sandbox,
     std::optional<util::EpochReclaimer::ReadGuard>* epoch_pin) {
-  ManagerLock lock(mutex_, meter_);
-  const auto assigned = assignments_.find(id);
-  if (assigned == assignments_.end()) {
-    return util::Status{util::StatusCode::kNotFound,
-                        "ull: sandbox has no queue assignment"};
+  const auto cpu = assignment(sandbox);
+  if (!cpu) {
+    return cpu.status();
   }
-  LookupResult result;
-  result.cpu = assigned->second;
-  const auto it = tracked_.find(id);
-  result.index = it == tracked_.end() ? nullptr : &it->second->index;
-  // Pin while the node is still in tracked_, i.e. before any untrack can
-  // retire it: retire() runs only under this mutex, so once the pin is
-  // published here no subsequent retirement of this node can be freed
-  // until the caller drops the guard (the reclaimer cannot advance two
-  // epochs past a pinned reader). Pin/unpin are lock-free, so this adds
-  // two atomics to the mutex hold, never a wait.
-  if (epoch_pin != nullptr && epoch_reclaim_ && result.index != nullptr) {
-    epoch_pin->emplace(topology_.queue(result.cpu).epoch());
+  // Pin before the node is dereferenced. Nodes are retired only by
+  // release(), to the queue they were last built against — the assigned
+  // queue pinned here. Pin/unpin are two lock-free atomics.
+  if (epoch_pin != nullptr && epoch_reclaim_ &&
+      sandbox.ull_slot().node != nullptr) {
+    epoch_pin->emplace(topology_.queue(*cpu).epoch());
   }
-  return result;
+  return LookupResult{*cpu, index_of(sandbox)};
 }
 
 std::size_t UllRunQueueManager::tracked_count() const {
-  ManagerLock lock(mutex_, meter_);
-  return tracked_.size();
-}
-
-std::vector<UllQueueOccupancy> UllRunQueueManager::occupancy() const {
-  ManagerLock lock(mutex_, meter_);
-  std::vector<UllQueueOccupancy> out;
-  out.reserve(ull_cpus_.size());
-  for (std::size_t i = 0; i < ull_cpus_.size(); ++i) {
-    out.push_back({ull_cpus_[i], occupancy_[i]});
-  }
-  return out;
+  return snapshot().tracked;
 }
 
 UllRunQueueManager::ManagerSnapshot UllRunQueueManager::snapshot() const {
@@ -245,57 +274,48 @@ UllRunQueueManager::ManagerSnapshot UllRunQueueManager::snapshot() const {
   ManagerSnapshot out;
   out.occupancy.reserve(ull_cpus_.size());
   for (std::size_t i = 0; i < ull_cpus_.size(); ++i) {
-    out.occupancy.push_back({ull_cpus_[i], occupancy_[i]});
+    out.occupancy.push_back({ull_cpus_[i], occupancy_[i].load()});
   }
-  // Read under the same hold as the occupancy so a reporting row cannot
-  // mix counters from different instants (the meter itself is relaxed
-  // atomics; the hold pins it relative to assign/untrack).
   out.contention = meter_.snapshot();
-  out.tracked = tracked_.size();
+  for (const TrackedNode& node : nodes_) {
+    out.tracked += node.tracked_on.load(std::memory_order_relaxed) !=
+                   kUntracked;
+  }
   return out;
 }
 
 void UllRunQueueManager::bind_engine(sched::CpuId cpu,
                                      HorseResumeEngine* engine) {
   ManagerLock lock(mutex_, meter_);
-  engines_[cpu] = engine;
+  const auto it = std::find(ull_cpus_.begin(), ull_cpus_.end(), cpu);
+  if (it == ull_cpus_.end()) {
+    throw std::invalid_argument("ull: bind_engine on a non-reserved cpu");
+  }
+  engines_[it - ull_cpus_.begin()].store(engine, std::memory_order_release);
 }
 
 void UllRunQueueManager::unbind_engine(const HorseResumeEngine* engine) {
   ManagerLock lock(mutex_, meter_);
-  for (auto it = engines_.begin(); it != engines_.end();) {
-    it = it->second == engine ? engines_.erase(it) : std::next(it);
-  }
-}
-
-HorseResumeEngine* UllRunQueueManager::engine_for(sched::CpuId cpu) const {
-  ManagerLock lock(mutex_, meter_);
-  if (const auto it = engines_.find(cpu); it != engines_.end()) {
-    return it->second;
-  }
-  // Unbound queue (grown after engine construction): any bound engine is
-  // correct — its step-② lock is wider than necessary, never narrower.
-  for (const sched::CpuId candidate : ull_cpus_) {
-    if (const auto it = engines_.find(candidate); it != engines_.end()) {
-      return it->second;
+  for (auto& bound : engines_) {
+    if (bound.load(std::memory_order_relaxed) == engine) {
+      bound.store(nullptr, std::memory_order_release);
     }
   }
-  return nullptr;
 }
 
 HorseResumeEngine* UllRunQueueManager::engine_for_sandbox(
-    sched::SandboxId id) const {
-  sched::CpuId cpu;
-  {
-    ManagerLock lock(mutex_, meter_);
-    const auto it = assignments_.find(id);
-    if (it == assignments_.end()) {
-      cpu = ull_cpus_.front();
-    } else {
-      cpu = it->second;
-    }
+    const vmm::Sandbox& sandbox) const noexcept {
+  const std::uint32_t queue = sandbox.ull_slot().queue;
+  HorseResumeEngine* engine =
+      queue != kUnassigned ? engines_[queue].load(std::memory_order_acquire)
+                           : nullptr;
+  // Unassigned sandbox, or a queue grown after engine construction: any
+  // bound engine is correct — its step-② lock is wider than necessary,
+  // never narrower.
+  for (std::size_t i = 0; engine == nullptr && i < num_reserved_.load(); ++i) {
+    engine = engines_[i].load(std::memory_order_acquire);
   }
-  return engine_for(cpu);
+  return engine;
 }
 
 util::Status UllRunQueueManager::grow() {
@@ -303,14 +323,16 @@ util::Status UllRunQueueManager::grow() {
   // Reserved queues are allocated downward from the top CPU; the next
   // candidate is just below the last one we hold.
   const sched::CpuId candidate = ull_cpus_.back() - 1;
-  if (ull_cpus_.size() + 1 >= topology_.num_cpus() || candidate == 0 ||
+  if (ull_cpus_.size() + 1 >= topology_.num_cpus() ||
+      ull_cpus_.size() == kMaxQueues || candidate == 0 ||
       topology_.is_reserved(candidate)) {
     return {util::StatusCode::kResourceExhausted,
             "ull: cannot reserve another queue"};
   }
   topology_.reserve_for_ull(candidate);
+  reserved_[ull_cpus_.size()].store(candidate, std::memory_order_relaxed);
   ull_cpus_.push_back(candidate);
-  occupancy_.push_back(0);
+  num_reserved_.store(ull_cpus_.size());  // publishes the entry above
   return util::Status::ok();
 }
 
@@ -320,27 +342,35 @@ util::Status UllRunQueueManager::shrink() {
     return {util::StatusCode::kFailedPrecondition,
             "ull: at least one ull_runqueue must remain"};
   }
-  const sched::CpuId victim = ull_cpus_.back();
-  if (occupancy_.back() != 0) {
-    return {util::StatusCode::kFailedPrecondition,
-            "ull: paused sandboxes still assigned to the victim queue"};
+  const std::size_t victim = ull_cpus_.size() - 1;
+  const util::Status busy{
+      util::StatusCode::kFailedPrecondition,
+      "ull: paused sandboxes still assigned to the victim queue"};
+  if (occupancy_[victim].load() != 0) {
+    return busy;
   }
-  if (!topology_.queue(victim).empty()) {
+  if (!topology_.queue(ull_cpus_.back()).empty()) {
     return {util::StatusCode::kFailedPrecondition,
             "ull: victim queue still has runnable uLL vCPUs"};
   }
-  topology_.unreserve(victim);
+  // Hide the victim from assign(), then re-check: an assign that chose it
+  // before the hide shows up in its counter now.
+  num_reserved_.store(victim);
+  if (occupancy_[victim].load() != 0) {
+    num_reserved_.store(victim + 1);
+    return busy;
+  }
+  topology_.unreserve(ull_cpus_.back());
   ull_cpus_.pop_back();
-  occupancy_.pop_back();
   return util::Status::ok();
 }
 
 std::size_t UllRunQueueManager::total_index_bytes() const {
   ManagerLock lock(mutex_, meter_);
   std::size_t total = 0;
-  for (const auto& [id, node] : tracked_) {
-    total += node->index.memory_bytes() + sizeof(TrackedNode);
-  }
+  for_each_tracked_locked([&](const TrackedNode& node, sched::RunQueue&) {
+    total += node.index.memory_bytes() + sizeof(TrackedNode);
+  });
   return total;
 }
 

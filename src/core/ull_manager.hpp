@@ -7,8 +7,8 @@
 //   * assign each pausing uLL sandbox to the reserved queue with the
 //     fewest paused sandboxes ("the choice … considers the number of
 //     paused sandboxes already associated with each ull_runqueue to
-//     perform load balancing"), tracked with per-queue occupancy counters
-//     maintained on assign/untrack — no per-call scan of the tracked set,
+//     perform load balancing"), read from per-queue atomic occupancy
+//     counters — no lock, no scan of the tracked set,
 //   * own one P2smIndex per paused sandbox and keep it fresh whenever its
 //     target queue changes structurally ("the updates are performed each
 //     time ull_runqueue is updated"),
@@ -16,32 +16,41 @@
 //     the sharded control plane can route a resume to the engine whose
 //     step-② lock serialises exactly that queue and nothing else.
 //
-// Thread-safety: the manager IS internally locked (this changed with the
-// sharded control plane; it used to rely on a single engine's
-// resume_lock_). A fine-grained mutex guards the assignment/tracking maps
-// and the occupancy counters; every P2smIndex build/rebuild additionally
-// holds the target queue's lock, so index mutation is serialised against
-// concurrent splices into that queue. Raw pointers handed out by
-// index_of() stay valid only while the sandbox remains tracked — callers
-// rely on the platform invariant that a sandbox is owned by exactly one
-// invocation at a time (see DESIGN.md §6, cross-shard invariants).
+// Where the state lives: a paused sandbox carries its own fast-path state
+// (vmm::UllSlot — its reserved-queue position and its TrackedNode), so the
+// warm pause/resume cycle (assign, track, lookup, untrack, engine routing)
+// takes no manager lock and touches no map. A node is allocated once per
+// sandbox lifetime, at its first tracked pause, rebuilt in place on every
+// later pause, and freed only when the sandbox is destroyed (release()).
+//
+// Thread-safety: a node's index and its `tracked_on` queue are written
+// only under that queue's lock (or by the sandbox's single owner while the
+// node is untracked), so step ④'s splice and every reporting read of the
+// index serialise on the queue lock. The manager mutex guards only what
+// is off the warm path: grow/shrink, engine bind/unbind, node birth and
+// death, and the node registry the reporting calls (snapshot,
+// tracked_count, total_index_bytes, refresh) walk. grow/shrink publish
+// the reserved set in fixed-capacity atomic storage, so a lock-free
+// assign() never reads a reallocating vector.
 //
 // Lock hierarchy (never acquire right-to-left):
 //   shard mutex → engine resume_lock_ → manager mutex → queue lock.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/p2sm.hpp"
 #include "metrics/contention.hpp"
 #include "sched/topology.hpp"
+#include "util/align.hpp"
 #include "util/epoch.hpp"
+#include "util/intrusive_list.hpp"
 #include "util/status.hpp"
 #include "vmm/sandbox.hpp"
 
@@ -55,97 +64,116 @@ struct UllQueueOccupancy {
   std::size_t paused = 0;
 };
 
+/// A uLL sandbox's 𝒫²𝒮ℳ record, reached through its vmm::UllSlot. The
+/// index lives inline so node and run table share one lifetime.
+struct TrackedNode {
+  static constexpr sched::CpuId kUntracked = ~sched::CpuId{0};
+
+  vmm::Sandbox* sandbox = nullptr;
+  /// The reserved queue the index was built against while the sandbox is
+  /// paused, kUntracked while it runs. Stored only under that queue's
+  /// lock, so a reader holding the lock of the queue it names may read
+  /// the index.
+  std::atomic<sched::CpuId> tracked_on{kUntracked};
+  /// Queue of the latest build; its epoch reclaimer receives the node.
+  sched::CpuId home = 0;
+  P2smIndex index;
+  util::ListHook registry;  // manager mutex
+  util::EpochRetireNode retire{nullptr, this, &TrackedNode::destroy};
+
+  static void destroy(void* node) noexcept {
+    delete static_cast<TrackedNode*>(node);
+  }
+};
+
 class UllRunQueueManager {
  public:
+  /// Capacity of the fixed reserved-queue storage grow() publishes into.
+  static constexpr std::size_t kMaxQueues = 64;
+
   /// Reserves `config.num_ull_runqueues` CPUs, starting from the highest
   /// CPU id (leaving low ids for general work, as pinned-core setups do).
   UllRunQueueManager(sched::CpuTopology& topology, const HorseConfig& config);
 
+  /// The reserved CPUs, in reservation order (grow/shrink mutate it; read
+  /// it from the thread that scales the manager).
   [[nodiscard]] const std::vector<sched::CpuId>& ull_cpus() const noexcept {
     return ull_cpus_;
   }
 
   ~UllRunQueueManager();
 
-  /// Pause-time assignment: least-occupied reserved queue, decided from
-  /// the per-queue counters (O(#queues), not O(#tracked)).
+  /// Pause-time assignment: least-occupied reserved queue, chosen from the
+  /// per-queue atomic counters without a lock. Re-assigning releases the
+  /// sandbox's previous slot first.
   [[nodiscard]] sched::CpuId assign(vmm::Sandbox& sandbox);
 
   /// The queue a paused sandbox was assigned to.
   [[nodiscard]] util::Expected<sched::CpuId> assignment(
-      sched::SandboxId id) const;
+      const vmm::Sandbox& sandbox) const;
 
-  /// assignment() + index_of() under ONE mutex hold — the resume fast
-  /// path's single manager-lock acquisition. `index` is nullptr when the
-  /// sandbox is assigned but not tracked (e.g. 𝒫²𝒮ℳ disabled). The
-  /// pointer-validity contract of index_of() applies unless the caller
-  /// passes `epoch_pin`: then, when epoch reclamation is on and an index
-  /// was found, the target queue's epoch is pinned INSIDE the mutex hold,
-  /// while the node is still reachable. retire() only ever runs under
-  /// this same mutex (untrack/re-track), so a racing untrack either
-  /// completed before the lookup (index comes back nullptr) or starts
-  /// after the pin is visible — the reclaimer can then never advance far
-  /// enough to free the node until the guard is dropped. Pinning after
-  /// lookup() returns would leave a window where maintenance pumps free
-  /// the node under the caller.
+  /// assignment() + index_of() for the resume fast path, lock-free.
+  /// `index` is nullptr when the sandbox is assigned but not tracked (e.g.
+  /// 𝒫²𝒮ℳ disabled). With `epoch_pin` and epoch reclamation on, the
+  /// assigned queue's epoch is pinned before the node is read, so a
+  /// release() that retires the node after this point cannot have it
+  /// freed until the caller drops the guard.
   struct LookupResult {
     sched::CpuId cpu = 0;
     P2smIndex* index = nullptr;
   };
   [[nodiscard]] util::Expected<LookupResult> lookup(
-      sched::SandboxId id,
+      vmm::Sandbox& sandbox,
       std::optional<util::EpochReclaimer::ReadGuard>* epoch_pin = nullptr);
 
-  /// Register a paused sandbox and build its 𝒫²𝒮ℳ index against its
-  /// assigned queue (under that queue's lock). Requires merge_vcpus to be
-  /// populated (post-pause).
+  /// Build the paused sandbox's 𝒫²𝒮ℳ index against its assigned queue
+  /// (under that queue's lock). The first call for a sandbox allocates its
+  /// node under the manager mutex; later calls rebuild it in place.
+  /// Requires merge_vcpus to be populated (post-pause).
   util::Status track(vmm::Sandbox& sandbox);
 
-  /// Drop tracking (after resume or destroy); releases the sandbox's
-  /// occupancy slot. With `HorseConfig::epoch_reclaim` the tracked node
-  /// (and its 𝒫²𝒮ℳ index) is NOT destroyed here: it is retired lock-free
-  /// to the target queue's epoch reclaimer, and freed later by the
-  /// try_reclaim() pump in track()/refresh() — the resume path never pays
-  /// heap frees under the manager mutex, and a racing reader stays safe
-  /// because its pin was published inside lookup(), under this same
-  /// mutex, while the node was still tracked.
-  void untrack(sched::SandboxId id);
+  /// Drop the sandbox's tracked state and release its occupancy slot
+  /// (after resume), lock-free apart from the lock of the queue it is
+  /// tracked on. The node stays with the sandbox for its next pause.
+  void untrack(vmm::Sandbox& sandbox);
+  /// untrack() for a caller already holding the lock of the queue the
+  /// sandbox is tracked on (step ④).
+  void untrack_locked(vmm::Sandbox& sandbox) noexcept;
+
+  /// Destroy-time teardown: release the sandbox's slot, unlink its node
+  /// from the registry and retire it to its queue's epoch reclaimer (or
+  /// free it inline with `HorseConfig::epoch_reclaim` off). Call it before
+  /// the sandbox is destroyed.
+  void release(vmm::Sandbox& sandbox);
 
   /// Bring every index whose target queue changed since it was built (or
   /// that is poisoned) back to fresh, taking each target queue's lock
   /// around the work. Tries the O(runs + delta) journal repair() first and
   /// falls back to the O(|A|+|B|) rebuild() only on journal overflow,
   /// poisoning, or a failed audit — per-index outcomes land in P2smStats
-  /// (repairs / rebuilds / repair_fallbacks). In a hypervisor this runs
-  /// from the queue-mutation path; callers here invoke it from scheduler
-  /// ticks / deferred-refresh sweeps after a degraded resume.
+  /// (repairs / rebuilds / repair_fallbacks). Callers run it from
+  /// scheduler ticks / maintenance sweeps.
   /// Returns the number of indexes made fresh (repaired + rebuilt).
   std::size_t refresh();
 
-  /// The index for a paused sandbox; nullptr when untracked. See the
-  /// header comment for the pointer-validity contract.
-  [[nodiscard]] P2smIndex* index_of(sched::SandboxId id);
+  /// The index of a paused, tracked sandbox; nullptr otherwise.
+  [[nodiscard]] P2smIndex* index_of(const vmm::Sandbox& sandbox) const noexcept;
 
   [[nodiscard]] std::size_t tracked_count() const;
 
-  /// Total heap footprint of all precomputed structures (§5.2 memory
-  /// overhead; the paper measures ≈528 KB for 10 paused uLL sandboxes).
+  /// Total heap footprint of the precomputed structures of every tracked
+  /// sandbox (§5.2 memory overhead; the paper measures ≈528 KB for 10
+  /// paused uLL sandboxes).
   [[nodiscard]] std::size_t total_index_bytes() const;
-
-  /// Per-queue paused-sandbox counters (control-plane observability; the
-  /// macro throughput bench reports these next to its scaling numbers).
-  [[nodiscard]] std::vector<UllQueueOccupancy> occupancy() const;
 
   /// Acquisition accounting for the manager's internal mutex.
   [[nodiscard]] metrics::ContentionStats contention() const noexcept {
     return meter_.snapshot();
   }
 
-  /// Occupancy + contention + tracked count read in ONE critical section.
-  /// occupancy() and contention() taken separately can straddle
-  /// assign/untrack calls and disagree with each other; reporting paths
-  /// that emit them side by side (macro_throughput CSV rows, per-host
-  /// cluster stats) must use this so each row is internally consistent.
+  /// Occupancy + contention + tracked count read in ONE manager-mutex
+  /// hold. The counters move without that mutex, so the fields agree
+  /// exactly only while no pause or resume is in flight.
   struct ManagerSnapshot {
     std::vector<UllQueueOccupancy> occupancy;
     metrics::ContentionStats contention;
@@ -160,14 +188,12 @@ class UllRunQueueManager {
   void bind_engine(sched::CpuId cpu, HorseResumeEngine* engine);
   void unbind_engine(const HorseResumeEngine* engine);
 
-  /// The engine bound to a queue; falls back to the first bound engine
-  /// when `cpu` has no binding (e.g. a queue added by grow()), nullptr
-  /// when no engine is bound at all.
-  [[nodiscard]] HorseResumeEngine* engine_for(sched::CpuId cpu) const;
-
-  /// The engine owning the queue a paused sandbox was assigned to, or the
-  /// fallback engine when the sandbox is unassigned.
-  [[nodiscard]] HorseResumeEngine* engine_for_sandbox(sched::SandboxId id) const;
+  /// The engine owning the queue a paused sandbox was assigned to, read
+  /// from a fixed array without a lock. Falls back to the first bound
+  /// engine when that queue has none (e.g. a queue added by grow()) or the
+  /// sandbox is unassigned; nullptr when no engine is bound at all.
+  [[nodiscard]] HorseResumeEngine* engine_for_sandbox(
+      const vmm::Sandbox& sandbox) const noexcept;
 
   // --- adaptive scaling (§4.1.3: "In the case of a high frequency of uLL
   // workload triggers, we can increase the number of ull_runqueue") ------
@@ -182,39 +208,31 @@ class UllRunQueueManager {
   util::Status shrink();
 
  private:
-  /// Heap-allocated tracking record. Owned by tracked_ while live; after
-  /// untrack() ownership passes to the target queue's epoch reclaimer
-  /// (via `retire`), which destroys it through destroy_node(). The index
-  /// lives inline so node + run table share one lifetime.
-  struct TrackedNode {
-    vmm::Sandbox* sandbox = nullptr;
-    sched::CpuId cpu = 0;
-    P2smIndex index;
-    util::EpochRetireNode retire;
-  };
-  static void destroy_node(void* owner) noexcept {
-    delete static_cast<TrackedNode*>(owner);
-  }
+  /// Release `slot`'s occupancy count and mark it unassigned.
+  void release_slot(vmm::UllSlot& slot) noexcept;
 
-  /// Free whatever garbage the reclaimer of `cpu`'s queue has matured.
-  /// Maintenance-path only: must not hold any queue lock.
-  void pump_reclaim(sched::CpuId cpu) noexcept;
-
-  [[nodiscard]] std::size_t& occupancy_slot(sched::CpuId cpu);
+  /// Calls `visit(node, queue)` for every node tracked on a queue, holding
+  /// that queue's lock. Caller holds the manager mutex.
+  template <typename Visit>
+  void for_each_tracked_locked(Visit&& visit) const;
 
   sched::CpuTopology& topology_;
   mutable std::mutex mutex_;
   mutable metrics::ContentionMeter meter_;
-  std::vector<sched::CpuId> ull_cpus_;
-  /// Paused-sandbox count per reserved queue, parallel to ull_cpus_;
-  /// updated on assign/untrack (and re-assign), consulted by assign() and
-  /// shrink() instead of scanning tracked_.
-  std::vector<std::size_t> occupancy_;
-  std::unordered_map<sched::SandboxId, TrackedNode*> tracked_;
   const bool epoch_reclaim_;
   const bool branchless_walk_;
-  std::unordered_map<sched::SandboxId, sched::CpuId> assignments_;
-  std::unordered_map<sched::CpuId, HorseResumeEngine*> engines_;
+  /// Reserved CPUs (manager mutex), mirrored for lock-free readers into
+  /// `reserved_` / `num_reserved_`; grow() stores the entry before it
+  /// publishes the count.
+  std::vector<sched::CpuId> ull_cpus_;
+  std::array<std::atomic<sched::CpuId>, kMaxQueues> reserved_{};
+  std::atomic<std::size_t> num_reserved_{0};
+  /// Paused-sandbox count per reserved position, one cache line each so
+  /// the two reserved queues' pause/resume traffic never false-shares.
+  std::array<util::PaddedAtomic<std::size_t>, kMaxQueues> occupancy_{};
+  std::array<std::atomic<HorseResumeEngine*>, kMaxQueues> engines_{};
+  /// Every live node (manager mutex).
+  mutable util::IntrusiveList<TrackedNode, &TrackedNode::registry> nodes_;
 };
 
 }  // namespace horse::core

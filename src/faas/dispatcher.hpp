@@ -123,7 +123,6 @@ class Dispatcher {
   }
   /// Workers with neither queued nor running work.
   [[nodiscard]] std::size_t free_slots() const noexcept;
-  [[nodiscard]] bool pull_mode() const noexcept { return source_ != nullptr; }
 
  private:
   struct Worker {

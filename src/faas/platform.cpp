@@ -49,11 +49,11 @@ Platform::Platform(PlatformConfig config)
 }
 
 void Platform::destroy_pooled(ControlShard& shard, vmm::Sandbox& sandbox) {
-  // Proper teardown order for a pool-owned sandbox: drop the fast-path
-  // tracking first (the index references the sandbox's merge_vcpus), then
+  // Proper teardown order for a pool-owned sandbox: release its fast-path
+  // node first (the index references the sandbox's merge_vcpus), then
   // dequeue/offline the vCPUs, then forget its health history. destroy()
   // is engine-agnostic, so the vanilla engine serves every sandbox.
-  ull_manager_->untrack(sandbox.id());
+  ull_manager_->release(sandbox);
   (void)vanilla_->destroy(sandbox);
   shard.resume_failures.erase(sandbox.id());
 }
@@ -95,9 +95,8 @@ util::Status Platform::pause_and_pool(ControlShard& shard,
   // assignment, coalescing precompute, and 𝒫²𝒮ℳ index and the next kHorse
   // resume is fast-path-ready; plain sandboxes take the vanilla pause.
   std::unique_ptr<vmm::Sandbox> rejected;
-  util::Status status = sandbox->config().ull
-                            ? horse_affine(shard_index).pause(*sandbox)
-                            : vanilla_->pause(*sandbox);
+  util::Status status =
+      lifecycle_engine(shard_index, *sandbox).pause(*sandbox);
   if (status.is_ok()) {
     status =
         shard.pool.put(function, std::move(sandbox), logical_now(), &rejected);
@@ -125,11 +124,8 @@ util::Status Platform::provision(FunctionId function, std::size_t count) {
   }
   for (std::size_t i = 0; i < count; ++i) {
     auto sandbox = make_sandbox(**spec);
-    if ((*spec)->sandbox.ull) {
-      HORSE_RETURN_IF_ERROR(horse_affine(shard_index).start(*sandbox));
-    } else {
-      HORSE_RETURN_IF_ERROR(vanilla_->start(*sandbox));
-    }
+    HORSE_RETURN_IF_ERROR(
+        lifecycle_engine(shard_index, *sandbox).start(*sandbox));
     HORSE_RETURN_IF_ERROR(
         pause_and_pool(s, shard_index, function, std::move(sandbox)));
   }
@@ -158,9 +154,7 @@ util::Status Platform::ensure_snapshot_on(ControlShard& shard,
     return spec.status();
   }
   auto sandbox = make_sandbox(**spec);
-  vmm::ResumeEngine& engine = (*spec)->sandbox.ull
-                                  ? horse_affine(shard_index)
-                                  : static_cast<vmm::ResumeEngine&>(*vanilla_);
+  vmm::ResumeEngine& engine = lifecycle_engine(shard_index, *sandbox);
   HORSE_RETURN_IF_ERROR(engine.start(*sandbox));
   HORSE_RETURN_IF_ERROR(engine.pause(*sandbox));
   auto snapshot = shard.snapshots.take(*sandbox);
@@ -168,14 +162,14 @@ util::Status Platform::ensure_snapshot_on(ControlShard& shard,
     return snapshot.status();
   }
   shard.snapshot_store.emplace(function, std::move(*snapshot));
-  ull_manager_->untrack(sandbox->id());
+  ull_manager_->release(*sandbox);
   return vanilla_->destroy(*sandbox);
 }
 
 void Platform::clear_warm_pools() {
   // Shard-by-shard, like advance_time: no global pause, each pool is
   // flushed under its own mutex and every evicted sandbox gets the full
-  // engine teardown (untrack + dequeue).
+  // engine teardown (release + dequeue).
   for (auto& shard_ptr : shards_) {
     ControlShard& shard = *shard_ptr;
     ShardLock lock(shard.mutex, shard.meter);
@@ -209,11 +203,8 @@ util::Status Platform::rehydrate(FunctionId function, std::size_t target) {
       return restored.status();
     }
     std::unique_ptr<vmm::Sandbox> sandbox = std::move(restored->sandbox);
-    if ((*spec)->sandbox.ull) {
-      HORSE_RETURN_IF_ERROR(horse_affine(shard_index).start(*sandbox));
-    } else {
-      HORSE_RETURN_IF_ERROR(vanilla_->start(*sandbox));
-    }
+    HORSE_RETURN_IF_ERROR(
+        lifecycle_engine(shard_index, *sandbox).start(*sandbox));
     HORSE_RETURN_IF_ERROR(
         pause_and_pool(s, shard_index, function, std::move(sandbox)));
     ++s.counters.rehydrated_sandboxes;
@@ -287,6 +278,7 @@ void fold_segment_record(InvocationRecord& total, const InvocationRecord& part,
   total.init_modelled += part.init_modelled;
   total.exec_time += part.exec_time;
   total.response = part.response;
+  total.repooled = total.repooled && part.repooled;
 }
 
 }  // namespace
@@ -619,8 +611,9 @@ util::Expected<InvocationRecord> Platform::run_segment(
   // One re-park for the whole segment, under the entry function where the
   // one pool take came from. Bodies have run, so a re-park error is an
   // eviction (pause_and_pool tore the sandbox down and counted it), never
-  // a failed call.
-  (void)pause_and_pool(shard, shard_index, entry, std::move(sandbox));
+  // a failed call; the record says which.
+  record.repooled =
+      pause_and_pool(shard, shard_index, entry, std::move(sandbox)).is_ok();
   if (!stopped.is_ok()) {
     return stopped;
   }
@@ -670,11 +663,8 @@ util::Expected<std::unique_ptr<vmm::Sandbox>> Platform::try_start_on(
       record.init_modelled = boot.boot_time + config_.warm_dispatch_overhead;
       std::unique_ptr<vmm::Sandbox> sandbox = std::move(boot.sandbox);
       util::Stopwatch watch;
-      if (spec.sandbox.ull) {
-        HORSE_RETURN_IF_ERROR(horse_affine(shard_index).start(*sandbox));
-      } else {
-        HORSE_RETURN_IF_ERROR(vanilla_->start(*sandbox));
-      }
+      HORSE_RETURN_IF_ERROR(
+          lifecycle_engine(shard_index, *sandbox).start(*sandbox));
       record.init_time = record.init_modelled + watch.elapsed();
       return sandbox;
     }
@@ -694,11 +684,8 @@ util::Expected<std::unique_ptr<vmm::Sandbox>> Platform::try_start_on(
           restored->modelled_time + config_.warm_dispatch_overhead;
       std::unique_ptr<vmm::Sandbox> sandbox = std::move(restored->sandbox);
       util::Stopwatch watch;
-      if (spec.sandbox.ull) {
-        HORSE_RETURN_IF_ERROR(horse_affine(shard_index).start(*sandbox));
-      } else {
-        HORSE_RETURN_IF_ERROR(vanilla_->start(*sandbox));
-      }
+      HORSE_RETURN_IF_ERROR(
+          lifecycle_engine(shard_index, *sandbox).start(*sandbox));
       record.init_time =
           record.init_modelled + restored->copy_time + watch.elapsed();
       return sandbox;
@@ -715,13 +702,13 @@ util::Expected<std::unique_ptr<vmm::Sandbox>> Platform::try_start_on(
         // Route to the engine whose step-② lock owns the queue this
         // sandbox was assigned to at pause time.
         core::HorseResumeEngine* engine =
-            ull_manager_->engine_for_sandbox(sandbox->id());
+            ull_manager_->engine_for_sandbox(*sandbox);
         HORSE_DCHECK(engine != nullptr,
                      "sharded platform always binds >= 1 horse engine");
         status = engine->resume(*sandbox, &record.resume);
       } else {
         // Vanilla warm path; drop any fast-path state the pause installed.
-        ull_manager_->untrack(sandbox->id());
+        ull_manager_->untrack(*sandbox);
         sandbox->coalesce().valid = false;
         status = vanilla_->resume(*sandbox, &record.resume);
         record.init_modelled = config_.warm_dispatch_overhead;
@@ -789,14 +776,6 @@ core::ResumeDegradationStats Platform::resume_degradation_stats() const {
   return total;
 }
 
-metrics::ContentionStats Platform::shard_contention() const {
-  metrics::ContentionStats total;
-  for (const auto& shard : shards_) {
-    total += shard->meter.snapshot();
-  }
-  return total;
-}
-
 std::vector<std::size_t> Platform::shard_pool_occupancy() const {
   std::vector<std::size_t> out;
   out.reserve(shards_.size());
@@ -854,6 +833,14 @@ std::size_t ShardedWarmPoolView::total() const {
     sum += occupancy;
   }
   return sum;
+}
+
+void ShardedWarmPoolView::for_each(
+    const std::function<void(FunctionId, const vmm::Sandbox&)>& visit) const {
+  for (const auto& shard : platform_.shards_) {
+    ShardLock lock(shard->mutex, shard->meter);
+    shard->pool.for_each(visit);
+  }
 }
 
 KeepAliveDecision KeepAlivePolicyView::decide(FunctionId function) const {

@@ -93,7 +93,7 @@ enum class StartMode : std::uint8_t { kCold, kRestore, kWarm, kHorse };
 /// error, up to `max_attempts` rungs with a modelled, jittered backoff
 /// between them. Per-sandbox health is tracked across invocations:
 /// a pooled sandbox whose resume fails `quarantine_threshold` times in a
-/// row is quarantined (untracked, destroyed, never re-pooled).
+/// row is quarantined (released, destroyed, never re-pooled).
 struct DegradationPolicy {
   bool enabled = true;
   /// Total start attempts per invocation (first try included).
@@ -237,6 +237,9 @@ struct InvocationRecord {
   /// Per-step resume timing (warm/horse modes only).
   vmm::ResumeBreakdown resume;
   workloads::Response response;
+  /// True when the sandbox went back to the warm pool after the bodies
+  /// ran; false when the re-park was refused and the sandbox destroyed.
+  bool repooled = false;
 
   [[nodiscard]] double init_fraction() const noexcept {
     const util::Nanos total = init_time + exec_time;
@@ -329,6 +332,10 @@ class ShardedWarmPoolView {
   void set_keep_alive_override(FunctionId function, util::Nanos keep_alive);
   /// Pooled sandboxes across all shards (sums per-shard totals).
   [[nodiscard]] std::size_t total() const;
+  /// Calls `visit(function, sandbox)` for every pooled sandbox, shard by
+  /// shard under each shard's mutex.
+  void for_each(const std::function<void(FunctionId, const vmm::Sandbox&)>&
+                    visit) const;
 
  private:
   friend class Platform;
@@ -358,12 +365,6 @@ class Platform {
   [[nodiscard]] FunctionRegistry& registry() noexcept { return registry_; }
   [[nodiscard]] ShardedWarmPoolView& warm_pool() noexcept { return pool_view_; }
   [[nodiscard]] sched::CpuTopology& topology() noexcept { return topology_; }
-  [[nodiscard]] vmm::ResumeEngine& vanilla_engine() noexcept { return *vanilla_; }
-  /// The first per-queue HORSE engine (the only one when
-  /// horse.num_ull_runqueues == 1; see horse_engines() for the rest).
-  [[nodiscard]] core::HorseResumeEngine& horse_engine() noexcept {
-    return *horse_engines_.front();
-  }
   [[nodiscard]] const std::vector<std::unique_ptr<core::HorseResumeEngine>>&
   horse_engines() const noexcept {
     return horse_engines_;
@@ -475,18 +476,16 @@ class Platform {
   [[nodiscard]] std::size_t shard_of(FunctionId function) const noexcept {
     return static_cast<std::size_t>(function) % shards_.size();
   }
-  /// Shard-mutex acquisition accounting, summed across shards.
-  [[nodiscard]] metrics::ContentionStats shard_contention() const;
   /// Per-shard pooled-sandbox occupancy (index = shard).
   [[nodiscard]] std::vector<std::size_t> shard_pool_occupancy() const;
   /// Every observability counter a reporting row needs, through one
   /// accessor: each shard is visited ONCE (contention + pool occupancy
   /// under a single hold of its mutex) and the ull manager contributes
-  /// its own single-critical-section snapshot. shard_contention() +
-  /// shard_pool_occupancy() + ull_manager().occupancy()/contention()
-  /// called separately can interleave with invocations and produce rows
-  /// whose columns describe different instants; CSV emitters
-  /// (macro_throughput) and the cluster's per-host stats use this.
+  /// its own one-hold snapshot. shard_pool_occupancy() and
+  /// ull_manager().contention() called separately can interleave with
+  /// invocations and produce rows whose columns describe different
+  /// instants; CSV emitters (macro_throughput) and the cluster's per-host
+  /// stats use this.
   [[nodiscard]] ControlPlaneSnapshot control_plane_snapshot() const;
 
  private:
@@ -538,11 +537,15 @@ class Platform {
     return *shards_[shard_of(function)];
   }
 
-  /// The HORSE engine a shard prefers for starts/pauses (round-robin over
-  /// the per-queue engines; the RESUME engine is always looked up from
-  /// the sandbox's queue assignment instead).
-  [[nodiscard]] core::HorseResumeEngine& horse_affine(
-      std::size_t shard_index) noexcept {
+  /// The engine a shard starts and pauses a sandbox through: for uLL
+  /// sandboxes a HORSE engine (round-robin over the per-queue engines; the
+  /// RESUME engine is always looked up from the sandbox's queue slot
+  /// instead), so the pause installs the fast-path state; else vanilla.
+  [[nodiscard]] vmm::ResumeEngine& lifecycle_engine(
+      std::size_t shard_index, const vmm::Sandbox& sandbox) noexcept {
+    if (!sandbox.config().ull) {
+      return *vanilla_;
+    }
     return *horse_engines_[shard_index % horse_engines_.size()];
   }
 
@@ -602,7 +605,7 @@ class Platform {
       InvokeControls& controls);
 
   /// Health bookkeeping for a pooled sandbox whose resume failed: strike
-  /// its failure counter; quarantine (untrack + destroy) at the
+  /// its failure counter; quarantine (release + destroy) at the
   /// threshold, else hand it back to the pool for a later retry.
   void handle_resume_failure(ControlShard& shard, FunctionId function,
                              std::unique_ptr<vmm::Sandbox> sandbox);

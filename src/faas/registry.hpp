@@ -136,8 +136,6 @@ class FunctionRegistry {
   /// The returned pointer is stable for the registry's lifetime.
   [[nodiscard]] util::Expected<const WorkflowSpec*> find_workflow(
       WorkflowId id) const;
-  [[nodiscard]] util::Expected<WorkflowId> find_workflow_by_name(
-      const std::string& name) const;
 
   [[nodiscard]] std::size_t size() const {
     std::shared_lock lock(mutex_);
@@ -249,17 +247,6 @@ inline util::Expected<const WorkflowSpec*> FunctionRegistry::find_workflow(
                         "registry: unknown workflow id"};
   }
   return &workflows_[id];
-}
-
-inline util::Expected<WorkflowId> FunctionRegistry::find_workflow_by_name(
-    const std::string& name) const {
-  std::shared_lock lock(mutex_);
-  const auto it = workflows_by_name_.find(name);
-  if (it == workflows_by_name_.end()) {
-    return util::Status{util::StatusCode::kNotFound,
-                        "registry: unknown workflow " + name};
-  }
-  return it->second;
 }
 
 }  // namespace horse::faas

@@ -91,6 +91,16 @@ class WarmPool {
   [[nodiscard]] std::size_t available(FunctionId function) const;
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
 
+  /// Calls `visit(function, sandbox)` for every pooled sandbox.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (const auto& [function, entries] : pools_) {
+      for (const Entry& entry : entries) {
+        visit(function, static_cast<const vmm::Sandbox&>(*entry.sandbox));
+      }
+    }
+  }
+
  private:
   struct Entry {
     std::unique_ptr<vmm::Sandbox> sandbox;

@@ -64,9 +64,6 @@ class IdleGovernor {
   [[nodiscard]] const CState& state(std::size_t index) const {
     return states_.at(index);
   }
-  [[nodiscard]] std::size_t num_states() const noexcept {
-    return states_.size();
-  }
 
   /// Wake-up latency the next trigger on `cpu` would pay right now.
   [[nodiscard]] util::Nanos wake_penalty(std::uint32_t cpu) const {

@@ -43,10 +43,6 @@ class EntityLoad {
   /// always-runnable entity).
   [[nodiscard]] double load_avg() const noexcept { return load_avg_; }
 
-  [[nodiscard]] util::Nanos last_update() const noexcept {
-    return last_update_;
-  }
-
  private:
   void decay_to(util::Nanos now);
 

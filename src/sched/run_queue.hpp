@@ -119,8 +119,8 @@ class RunQueue {
   // --- deferred reclamation ----------------------------------------------
 
   /// Per-queue epoch reclaimer for retired 𝒫²𝒮ℳ run nodes. The resume
-  /// path pins it while reading an index and the ull-manager retires
-  /// untracked nodes to it instead of freeing under its mutex; actual
+  /// path pins it while reading an index and the ull-manager retires a
+  /// destroyed sandbox's node to it instead of freeing it inline; actual
   /// frees happen in maintenance (track/refresh) via try_reclaim(). See
   /// util/epoch.hpp for the protocol and its place in the lock hierarchy.
   [[nodiscard]] util::EpochReclaimer& epoch() noexcept { return epoch_; }

@@ -23,8 +23,14 @@ std::size_t EpochReclaimer::pin() noexcept {
   // off rather than spun silently; a sweep count that could only mean
   // every slot has been held for milliseconds trips the DCHECK on test
   // builds instead of presenting as a mystery hang.
+  // Each thread starts its probe at its own slot, so two threads pinning
+  // the same queue do not fight over one cache line.
+  static std::atomic<std::size_t> next_home{0};
+  thread_local const std::size_t home =
+      next_home.fetch_add(1, std::memory_order_relaxed);
   for (std::uint64_t sweeps = 0;; ++sweeps) {
-    for (std::size_t i = 0; i < kReaderSlots; ++i) {
+    for (std::size_t probe = 0; probe < kReaderSlots; ++probe) {
+      const std::size_t i = (home + probe) % kReaderSlots;
       std::uint64_t expected = kIdle;
       if (reader_epochs_[i].value.compare_exchange_strong(
               expected, global_epoch_.load(std::memory_order_acquire),

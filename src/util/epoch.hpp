@@ -1,12 +1,11 @@
 // Epoch-based reclamation for retired run-table nodes.
 //
-// The kHorse resume path reads a sandbox's 𝒫²𝒮ℳ index and then untracks
-// it. Freeing the index inline would put an unordered_map erase plus a
-// handful of heap frees inside the timed window, and — worse — another
-// thread could still be walking the index it looked up moments earlier.
-// Instead the owner *retires* the node to a per-queue EpochReclaimer and
-// the actual destruction happens later, off the hot path, once every
-// in-flight reader has provably moved on.
+// The kHorse resume path reads a sandbox's 𝒫²𝒮ℳ index while another
+// thread may be destroying that sandbox. Freeing the index inline at
+// destroy would pull the memory out from under such a reader. Instead the
+// owner *retires* the node to a per-queue EpochReclaimer and the actual
+// destruction happens later, off the hot path, once every in-flight
+// reader has provably moved on.
 //
 // Scheme (classic 3-epoch EBR, sized for a handful of readers per queue):
 //  - A global epoch counter e and kReaderSlots padded reader slots.
@@ -22,12 +21,12 @@
 //    internal spinlock; readers and retirers never block.
 //
 // Lock hierarchy: pin/unpin/retire are lock-free and may be called under
-// any lock at or below the ull-manager mutex (the resume path pins inside
-// UllRunQueueManager::lookup(), under the manager mutex — the same mutex
-// retire runs under, which is what orders every pin before the retirement
-// it protects against). try_reclaim takes only its internal spinlock and
-// must be called with no queue Spinlock held — maintenance paths
-// (track/refresh) call it, resume never does.
+// any lock at or below the ull-manager mutex (the resume path pins in
+// UllRunQueueManager::lookup() with no lock; UllRunQueueManager::release()
+// retires a node only after the destroyed sandbox stops pointing at it).
+// try_reclaim takes only its internal spinlock and must be called with no
+// queue Spinlock held — maintenance paths (track/refresh) call it, resume
+// never does.
 //
 // Fault site `sched.epoch.stall` models a reader stalled mid-epoch: a
 // reclaim attempt sees it and declines, leaving garbage pending but

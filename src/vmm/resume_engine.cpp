@@ -118,8 +118,10 @@ bool ResumeEngine::parse_resume_command(const Sandbox& sandbox) const {
 }
 
 util::Status ResumeEngine::run_prologue(Sandbox& sandbox,
-                                        ResumeBreakdown& breakdown) {
+                                        ResumeBreakdown& breakdown,
+                                        PrologueStamps* stamps) {
   StageTimer watch(cycle_timing_);
+  const std::uint64_t start = watch.mark();
 
   // ① parse. The fault site models a malformed resume request: fails
   // before the global lock is taken, sandbox state untouched.
@@ -127,19 +129,19 @@ util::Status ResumeEngine::run_prologue(Sandbox& sandbox,
       !parse_resume_command(sandbox)) {
     return {util::StatusCode::kInvalidArgument, "resume: bad command"};
   }
-  breakdown.parse = watch.elapsed() + profile_.resume_control_plane;
+  breakdown.parse = watch.lap() + profile_.resume_control_plane;
+  const std::uint64_t parsed = watch.mark();
 
   // ② global lock
-  watch.restart();
   resume_lock_.lock();
-  breakdown.lock = watch.elapsed();
+  breakdown.lock = watch.lap();
+  const std::uint64_t locked = watch.mark();
 
   // ③ sanity checks — includes a real control-plane read on Xen flavours.
   // The fault site models a transient control-plane disagreement (stale
   // XenStore read, interrupted ioctl): the lock is released and the
   // sandbox stays paused, so the caller may retry or fall down the
   // platform's start ladder.
-  watch.restart();
   if (HORSE_FAULT_POINT("resume.sanity.fault")) {
     resume_lock_.unlock();
     return {util::StatusCode::kInternal,
@@ -152,7 +154,10 @@ util::Status ResumeEngine::run_prologue(Sandbox& sandbox,
     return {util::StatusCode::kFailedPrecondition,
             "resume: sandbox not paused"};
   }
-  breakdown.sanity = watch.elapsed();
+  breakdown.sanity = watch.lap();
+  if (stamps != nullptr) {
+    *stamps = {start, parsed, locked, watch.mark()};
+  }
   return util::Status::ok();
 }
 

@@ -56,6 +56,16 @@ class StageTimer {
     }
     return util::monotonic_now() - static_cast<util::Nanos>(start_);
   }
+  /// elapsed(), then restart from the same reading: one read per stage
+  /// boundary when stages run back to back.
+  [[nodiscard]] util::Nanos lap() noexcept {
+    const std::uint64_t from = start_;
+    restart();
+    return cycles_ ? util::CycleClock::cycles_to_nanos(start_ - from)
+                   : static_cast<util::Nanos>(start_ - from);
+  }
+  /// The raw reading at the last boundary (a cycle count in cycle mode).
+  [[nodiscard]] std::uint64_t mark() const noexcept { return start_; }
 
  private:
   bool cycles_;
@@ -84,6 +94,13 @@ struct ResumeBreakdown {
                   : static_cast<double>(merge + load_update) /
                         static_cast<double>(t);
   }
+};
+
+/// Raw boundaries of steps ①-③ as run_prologue's StageTimer read them
+/// (cycle counts when the engine times in cycles), for engines that
+/// account stage cycles without reading the clock again.
+struct PrologueStamps {
+  std::uint64_t start = 0, parsed = 0, locked = 0, checked = 0;
 };
 
 class ResumeEngine {
@@ -176,8 +193,10 @@ class ResumeEngine {
                                           std::string_view state) const;
 
   /// Shared by derived classes: run steps ①-③, return false (and fill the
-  /// status) if a sanity check fails.
-  util::Status run_prologue(Sandbox& sandbox, ResumeBreakdown& breakdown);
+  /// status) if a sanity check fails. `stamps`, when non-null, receives
+  /// the stage boundaries on success.
+  util::Status run_prologue(Sandbox& sandbox, ResumeBreakdown& breakdown,
+                            PrologueStamps* stamps = nullptr);
 
   /// Step ⑥ for derived classes.
   void run_epilogue(Sandbox& sandbox, ResumeBreakdown& breakdown);

@@ -17,6 +17,10 @@
 #include "util/status.hpp"
 #include "util/time.hpp"
 
+namespace horse::core {
+struct TrackedNode;
+}  // namespace horse::core
+
 namespace horse::vmm {
 
 enum class SandboxState : std::uint8_t {
@@ -52,6 +56,20 @@ struct CoalescePrecompute {
   double alpha_n = 1.0;
   double beta_geo_sum = 0.0;
   bool valid = false;
+};
+
+/// HORSE fast-path state a uLL sandbox carries for the core ull manager
+/// (§4.1.3): the reserved queue it was assigned at pause, and the
+/// manager's node holding its 𝒫²𝒮ℳ index. vmm never dereferences the
+/// node; the manager allocates it at the sandbox's first tracked pause,
+/// rebuilds it in place on every later pause, and frees it when the
+/// sandbox is destroyed (UllRunQueueManager::release). Only the sandbox's
+/// single owner touches these fields.
+struct UllSlot {
+  static constexpr std::uint32_t kUnassigned = ~std::uint32_t{0};
+  /// Position in the manager's reserved-queue set, or kUnassigned.
+  std::uint32_t queue = kUnassigned;
+  core::TrackedNode* node = nullptr;
 };
 
 class Sandbox {
@@ -92,6 +110,9 @@ class Sandbox {
 
   [[nodiscard]] CoalescePrecompute& coalesce() noexcept { return coalesce_; }
 
+  [[nodiscard]] UllSlot& ull_slot() noexcept { return ull_slot_; }
+  [[nodiscard]] const UllSlot& ull_slot() const noexcept { return ull_slot_; }
+
   /// Scaled guest-memory image backing the snapshot/restore experiments.
   /// Real guests would map `memory_mb` MiB; we keep a 1/64-scale image so
   /// restore performs a real (but laptop-sized) page copy.
@@ -101,9 +122,6 @@ class Sandbox {
   }
   static constexpr std::size_t kMemoryScaleDenominator = 64;
 
-  /// Total time this sandbox has spent paused (keep-alive accounting).
-  util::Nanos paused_at = 0;
-
  private:
   sched::SandboxId id_;
   SandboxConfig config_;
@@ -111,6 +129,7 @@ class Sandbox {
   std::vector<std::unique_ptr<sched::Vcpu>> vcpus_;
   sched::VcpuList merge_vcpus_;
   CoalescePrecompute coalesce_;
+  UllSlot ull_slot_;
   std::vector<std::byte> guest_memory_;
 };
 

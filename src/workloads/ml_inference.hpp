@@ -35,9 +35,6 @@ class MlInferenceFunction final : public Function {
   /// response.allowed = (score >= 0.5); checksum = score in ppm.
   Response invoke(const Request& request) override;
 
-  [[nodiscard]] std::size_t feature_count() const noexcept {
-    return weights_.size();
-  }
   [[nodiscard]] double score(const std::vector<std::int32_t>& features) const;
 
  private:

@@ -61,7 +61,7 @@ TEST_F(AdaptiveUllTest, ShrinkBlockedByAssignedSandbox) {
   if (cpu == 14) {
     EXPECT_EQ(manager_.shrink().code(), util::StatusCode::kFailedPrecondition);
   }
-  manager_.untrack(sandbox.id());
+  manager_.untrack(sandbox);
   EXPECT_TRUE(manager_.shrink().is_ok());
 }
 

@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/cycle_clock.hpp"
+
 namespace horse::core {
 namespace {
 
@@ -42,8 +44,8 @@ TEST_F(HorseResumeTest, PauseInstallsFastPathState) {
   ASSERT_TRUE(engine_.start(*sandbox).is_ok());
   ASSERT_TRUE(engine_.pause(*sandbox).is_ok());
   EXPECT_TRUE(sandbox->coalesce().valid);
-  EXPECT_NE(engine_.ull_manager().index_of(sandbox->id()), nullptr);
-  const auto cpu = engine_.ull_manager().assignment(sandbox->id());
+  EXPECT_NE(engine_.ull_manager().index_of(*sandbox), nullptr);
+  const auto cpu = engine_.ull_manager().assignment(*sandbox);
   ASSERT_TRUE(cpu.has_value());
   EXPECT_EQ(*cpu, 7u);
   ASSERT_TRUE(engine_.resume(*sandbox).is_ok());
@@ -55,7 +57,7 @@ TEST_F(HorseResumeTest, NonUllSandboxSkipsFastPath) {
   ASSERT_TRUE(engine_.start(*sandbox).is_ok());
   ASSERT_TRUE(engine_.pause(*sandbox).is_ok());
   EXPECT_FALSE(sandbox->coalesce().valid);
-  EXPECT_EQ(engine_.ull_manager().index_of(sandbox->id()), nullptr);
+  EXPECT_EQ(engine_.ull_manager().index_of(*sandbox), nullptr);
   ASSERT_TRUE(engine_.resume(*sandbox).is_ok());
   // Resumed onto general queues, never the reserved one.
   EXPECT_EQ(queued_on(7), 0u);
@@ -85,7 +87,25 @@ TEST_F(HorseResumeTest, ResumeConsumesFastPathState) {
   ASSERT_TRUE(engine_.pause(*sandbox).is_ok());
   ASSERT_TRUE(engine_.resume(*sandbox).is_ok());
   EXPECT_FALSE(sandbox->coalesce().valid);
-  EXPECT_EQ(engine_.ull_manager().index_of(sandbox->id()), nullptr);
+  EXPECT_EQ(engine_.ull_manager().index_of(*sandbox), nullptr);
+  ASSERT_TRUE(engine_.destroy(*sandbox).is_ok());
+}
+
+TEST_F(HorseResumeTest, PrologueCyclesAreStepsOneToThree) {
+  if (!util::CycleClock::available()) {
+    GTEST_SKIP() << "no cycle counter: cycle accounting is off";
+  }
+  auto sandbox = make_sandbox(2, true);
+  ASSERT_TRUE(engine_.start(*sandbox).is_ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(engine_.pause(*sandbox).is_ok());
+    ASSERT_TRUE(engine_.resume(*sandbox).is_ok());
+  }
+  const ResumeCycleStats stats = engine_.cycle_stats();
+  EXPECT_EQ(stats.resumes, 5u);
+  EXPECT_GT(stats.parse_cycles, 0u);
+  EXPECT_EQ(stats.prologue_cycles,
+            stats.parse_cycles + stats.lock_cycles + stats.sanity_cycles);
   ASSERT_TRUE(engine_.destroy(*sandbox).is_ok());
 }
 
@@ -283,7 +303,7 @@ TEST_F(HorseResumeTest, CoalescingOnlyFeatureSet) {
   ASSERT_TRUE(coal.start(*sandbox).is_ok());
   ASSERT_TRUE(coal.pause(*sandbox).is_ok());
   EXPECT_TRUE(sandbox->coalesce().valid);
-  EXPECT_EQ(coal.ull_manager().index_of(sandbox->id()), nullptr);  // no 𝒫²𝒮ℳ
+  EXPECT_EQ(coal.ull_manager().index_of(*sandbox), nullptr);  // no 𝒫²𝒮ℳ
   ASSERT_TRUE(coal.resume(*sandbox).is_ok());
   EXPECT_EQ(topo.queue(3).size(), 4u);
   EXPECT_TRUE(topo.queue(3).is_sorted());

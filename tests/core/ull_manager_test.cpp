@@ -72,9 +72,9 @@ TEST_F(UllManagerTest, AssignBalancesByPausedCount) {
 TEST_F(UllManagerTest, AssignmentLookup) {
   UllRunQueueManager manager(topology_, config(1));
   auto sandbox = paused_sandbox(2);
-  EXPECT_FALSE(manager.assignment(sandbox->id()).has_value());
+  EXPECT_FALSE(manager.assignment(*sandbox).has_value());
   const auto cpu = manager.assign(*sandbox);
-  const auto looked_up = manager.assignment(sandbox->id());
+  const auto looked_up = manager.assignment(*sandbox);
   ASSERT_TRUE(looked_up.has_value());
   EXPECT_EQ(*looked_up, cpu);
 }
@@ -102,7 +102,7 @@ TEST_F(UllManagerTest, TrackBuildsFreshIndex) {
   auto sandbox = paused_sandbox(4);
   (void)manager.assign(*sandbox);
   ASSERT_TRUE(manager.track(*sandbox).is_ok());
-  P2smIndex* index = manager.index_of(sandbox->id());
+  P2smIndex* index = manager.index_of(*sandbox);
   ASSERT_NE(index, nullptr);
   EXPECT_TRUE(index->fresh(topology_.queue(7)));
 }
@@ -122,7 +122,7 @@ TEST_F(UllManagerTest, RefreshRebuildsStaleIndexes) {
     topology_.queue(7).insert_sorted(intruder);
   }
   EXPECT_EQ(manager.refresh(), 1u);
-  EXPECT_TRUE(manager.index_of(sandbox->id())->fresh(topology_.queue(7)));
+  EXPECT_TRUE(manager.index_of(*sandbox)->fresh(topology_.queue(7)));
   {
     util::LockGuard guard(topology_.queue(7).lock());
     topology_.queue(7).remove(intruder);
@@ -134,17 +134,17 @@ TEST_F(UllManagerTest, UntrackDropsState) {
   auto sandbox = paused_sandbox(1);
   (void)manager.assign(*sandbox);
   ASSERT_TRUE(manager.track(*sandbox).is_ok());
-  manager.untrack(sandbox->id());
+  manager.untrack(*sandbox);
   EXPECT_EQ(manager.tracked_count(), 0u);
-  EXPECT_EQ(manager.index_of(sandbox->id()), nullptr);
-  EXPECT_FALSE(manager.assignment(sandbox->id()).has_value());
+  EXPECT_EQ(manager.index_of(*sandbox), nullptr);
+  EXPECT_FALSE(manager.assignment(*sandbox).has_value());
 }
 
 TEST_F(UllManagerTest, LookupPinProtectsIndexAcrossUntrackAndReclaim) {
-  // Regression: the resume path's pin must be published inside lookup(),
-  // under the manager mutex, while the node is still tracked. Pinning
-  // after lookup() returned left a window where a concurrent untrack plus
-  // maintenance reclaim pumps freed the index under the reader.
+  // The resume path pins the assigned queue's epoch in lookup(). A node
+  // is retired only when its sandbox is destroyed (release()), and a
+  // reader pinned before that retirement must keep it alive across any
+  // number of maintenance reclaim pumps.
   HorseConfig cfg = config(1);
   cfg.epoch_reclaim = true;
   UllRunQueueManager manager(topology_, cfg);
@@ -154,14 +154,14 @@ TEST_F(UllManagerTest, LookupPinProtectsIndexAcrossUntrackAndReclaim) {
 
   util::EpochReclaimer& epoch = topology_.queue(7).epoch();
   std::optional<util::EpochReclaimer::ReadGuard> pin;
-  const auto looked = manager.lookup(sandbox->id(), &pin);
+  const auto looked = manager.lookup(*sandbox, &pin);
   ASSERT_TRUE(looked.has_value());
   ASSERT_NE((*looked).index, nullptr);
   ASSERT_TRUE(pin.has_value());
 
   // Rogue destroy racing the resume: the node is retired, but no number
   // of reclaim attempts may free it while the lookup's pin is live.
-  manager.untrack(sandbox->id());
+  manager.release(*sandbox);
   EXPECT_EQ(epoch.pending(), 1u);
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(epoch.try_reclaim(), 0u);
@@ -187,7 +187,7 @@ TEST_F(UllManagerTest, LookupWithoutEpochReclaimLeavesPinEmpty) {
   (void)manager.assign(*sandbox);
   ASSERT_TRUE(manager.track(*sandbox).is_ok());
   std::optional<util::EpochReclaimer::ReadGuard> pin;
-  const auto looked = manager.lookup(sandbox->id(), &pin);
+  const auto looked = manager.lookup(*sandbox, &pin);
   ASSERT_TRUE(looked.has_value());
   EXPECT_NE((*looked).index, nullptr);
   EXPECT_FALSE(pin.has_value());

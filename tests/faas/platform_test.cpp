@@ -153,6 +153,37 @@ TEST_F(PlatformTest, HorseFasterThanWarmOnAverage) {
   EXPECT_LT(horse_total, warm_total);
 }
 
+TEST_F(PlatformTest, RefusedReparkIsReportedOnTheRecord) {
+  // Pool capped at one sandbox per function and already full: the cold
+  // start's sandbox is refused at re-park and torn down. The body ran, so
+  // the call succeeds, and the record says the sandbox was not re-pooled.
+  PlatformConfig config = make_config();
+  config.warm_pool.max_per_function = 1;
+  Platform platform(config);
+  FunctionSpec spec;
+  spec.name = "filter";
+  spec.implementation = std::make_shared<workloads::ArrayFilterFunction>();
+  spec.sandbox.name = "filter-sb";
+  spec.sandbox.num_vcpus = 1;
+  spec.sandbox.memory_mb = 1;
+  spec.sandbox.ull = true;
+  const FunctionId id = *platform.registry().add(std::move(spec));
+  ASSERT_TRUE(platform.provision(id, 1).is_ok());
+
+  const auto cold = platform.invoke(id, filter_request(), StartMode::kCold);
+  ASSERT_TRUE(cold.has_value());
+  EXPECT_EQ(cold->mode, StartMode::kCold);
+  EXPECT_EQ(cold->response.indexes, (std::vector<std::int32_t>{1, 2}));
+  EXPECT_FALSE(cold->repooled);
+  EXPECT_EQ(platform.counters().pool_overflow_destroyed, 1u);
+  EXPECT_EQ(platform.ull_manager().tracked_count(), 1u);
+
+  const auto warm = platform.invoke(id, filter_request(), StartMode::kHorse);
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_EQ(warm->mode, StartMode::kHorse);
+  EXPECT_TRUE(warm->repooled);
+}
+
 TEST_F(PlatformTest, HorseModeOnNonUllFallsBackToVanilla) {
   ASSERT_TRUE(platform_.provision(plain_id_, 1).is_ok());
   workloads::Request request;

@@ -81,11 +81,11 @@ TEST_F(EpochFaultTest, NthStallSkipsExactlyOneRound) {
 }
 
 TEST_F(EpochFaultTest, ResumePathSurvivesAPermanentStall) {
-  // Whole-engine run with reclamation permanently declined: every resume
-  // keeps retiring its index node, none is ever freed, and the resumes
-  // themselves must stay correct (the retired nodes are unreachable for
-  // new lookups, so deferred-forever is safe, just unbounded in memory —
-  // bounded here by the cycle count).
+  // Whole-engine run with reclamation permanently declined: every
+  // destroyed uLL sandbox retires its index node, none is ever freed, and
+  // the resumes around them must stay correct (the retired nodes are
+  // unreachable for new lookups, so deferred-forever is safe, just
+  // unbounded in memory — bounded here by the cycle count).
   sched::CpuTopology topology(4);
   HorseConfig config;
   config.num_ull_runqueues = 1;
@@ -107,6 +107,15 @@ TEST_F(EpochFaultTest, ResumePathSurvivesAPermanentStall) {
     for (int i = 0; i < kCycles; ++i) {
       ASSERT_TRUE(engine.pause(probe).is_ok());
       ASSERT_TRUE(engine.resume(probe).is_ok());
+      // A short-lived neighbour: one pause/resume, re-parked, destroyed.
+      vmm::Sandbox victim(static_cast<sched::SandboxId>(100 + i),
+                          sandbox_config);
+      ASSERT_TRUE(engine.start(victim).is_ok());
+      ASSERT_TRUE(engine.pause(victim).is_ok());
+      ASSERT_TRUE(engine.resume(victim).is_ok());
+      ASSERT_TRUE(engine.pause(victim).is_ok());
+      engine.ull_manager().release(victim);
+      ASSERT_TRUE(engine.destroy(victim).is_ok());
     }
     EXPECT_EQ(epoch.reclaimed(), 0u);
     EXPECT_GE(epoch.retired(), static_cast<std::uint64_t>(kCycles));

@@ -93,7 +93,7 @@ TEST_F(P2smRepairFaultTest, ManagerRefreshDegradesToRebuildOnCorruptDelta) {
 
   const sched::CpuId cpu = manager.assign(sandbox);
   ASSERT_TRUE(manager.track(sandbox).is_ok());
-  const P2smIndex* index = manager.index_of(sandbox.id());
+  const P2smIndex* index = manager.index_of(sandbox);
   ASSERT_NE(index, nullptr);
   ASSERT_EQ(index->stats().rebuilds, 1u);
 
@@ -127,7 +127,7 @@ TEST_F(P2smRepairFaultTest, ManagerRefreshDegradesToRebuildOnCorruptDelta) {
   EXPECT_EQ(index->stats().repairs, 1u);
   EXPECT_EQ(index->stats().rebuilds, 2u);
 
-  manager.untrack(sandbox.id());
+  manager.untrack(sandbox);
 }
 
 }  // namespace

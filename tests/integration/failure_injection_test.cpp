@@ -67,7 +67,7 @@ TEST(FailureInjectionTest, UntrackedUllSandboxResumeFailsCleanly) {
   ASSERT_TRUE(engine.start(*sandbox).is_ok());
   ASSERT_TRUE(engine.pause(*sandbox).is_ok());
   // Sabotage: drop the fast-path state behind the engine's back.
-  engine.ull_manager().untrack(sandbox->id());
+  engine.ull_manager().untrack(*sandbox);
   const auto status = engine.resume(*sandbox);
   EXPECT_FALSE(status.is_ok());
   EXPECT_EQ(status.code(), util::StatusCode::kNotFound);

@@ -38,7 +38,7 @@ TEST_F(ApiTest, UllFlagRoutesToFastPath) {
   ASSERT_TRUE(api_.handle("start id=5").ok());
   ASSERT_TRUE(api_.handle("pause id=5").ok());
   // Fast-path state was installed by the HORSE engine's pause.
-  EXPECT_NE(engine_.ull_manager().index_of(5), nullptr);
+  EXPECT_NE(engine_.ull_manager().index_of(*api_.find(5)), nullptr);
   ASSERT_TRUE(api_.handle("resume id=5").ok());
   EXPECT_EQ(topology_.queue(3).size(), 3u);  // reserved queue
 }

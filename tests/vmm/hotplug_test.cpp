@@ -102,7 +102,7 @@ TEST(HotplugTest, HorseHotplugRepairsFastPathState) {
   EXPECT_LT(pre_after.alpha_n, pre_before.alpha_n);  // alpha^3 < alpha^2
 
   // Index extended incrementally, not rebuilt from scratch.
-  core::P2smIndex* index = engine.ull_manager().index_of(sandbox->id());
+  core::P2smIndex* index = engine.ull_manager().index_of(*sandbox);
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->stats().incremental_inserts, 1u);
 
@@ -124,7 +124,7 @@ TEST(HotplugTest, HorseUnplugUsesIncrementalRemove) {
   ASSERT_TRUE(engine.unplug_vcpu(*sandbox).is_ok());
   EXPECT_EQ(sandbox->num_vcpus(), 3u);
   EXPECT_EQ(sandbox->merge_vcpus().size(), 3u);
-  core::P2smIndex* index = engine.ull_manager().index_of(sandbox->id());
+  core::P2smIndex* index = engine.ull_manager().index_of(*sandbox);
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->stats().incremental_removes, 1u);
 
