@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "cluster/decision_core.hpp"
 #include "util/fault_injection.hpp"
 
 namespace horse::cluster {
@@ -38,17 +39,7 @@ Host::Host(HostId id, faas::PlatformConfig platform_config, std::size_t workers,
       }()) {}
 
 void Host::submit(faas::Submission task) {
-  // Re-dispatched submissions are exempt: a task stolen off a stalled host
-  // must not stall its rescue host too, or an always-armed stall site
-  // would steal/re-dispatch the same task forever without executing it.
-  // Same for crashes — re-dispatched orphans must land somewhere.
-  if (!task.redispatched && healthy()) {
-    if (HORSE_FAULT_POINT("cluster.host_crash")) {
-      crash();
-    } else if (HORSE_FAULT_POINT("cluster.host_stall")) {
-      stall();
-    }
-  }
+  probe_faults(task);
   dispatched_.fetch_add(1, std::memory_order_relaxed);
   // The task is accepted even when the stall just fired: it sits in the
   // parked dispatcher's queue until the health sweep steals it — exactly
@@ -58,21 +49,19 @@ void Host::submit(faas::Submission task) {
 
 HostSnapshot Host::snapshot(faas::FunctionId function,
                             bool include_warm) const {
-  HostSnapshot snapshot;
-  snapshot.host = id_;
-  snapshot.healthy = healthy();
-  snapshot.free_slots = dispatcher_.free_slots();
-  snapshot.queued = dispatcher_.pending();
-  snapshot.in_flight = dispatcher_.in_flight();
-  snapshot.capacity = dispatcher_.capacity();
-  snapshot.dispatched = dispatched();
-  if (include_warm) {
-    // const_cast: warm_pool() is non-const on Platform but available() is
-    // a read under the owning shard's lock.
-    snapshot.warm_slots =
-        const_cast<faas::Platform&>(platform_).warm_pool().available(function);
-  }
-  return snapshot;
+  // const_cast: warm_pool() is non-const on Platform but available() is a
+  // read under the owning shard's lock.
+  return {.host = id_,
+          .healthy = healthy(),
+          .free_slots = dispatcher_.free_slots(),
+          .queued = dispatcher_.pending(),
+          .in_flight = dispatcher_.in_flight(),
+          .capacity = dispatcher_.capacity(),
+          .warm_slots = include_warm ? const_cast<faas::Platform&>(platform_)
+                                           .warm_pool()
+                                           .available(function)
+                                     : 0,
+          .dispatched = dispatched()};
 }
 
 std::vector<faas::Submission> Host::quarantine() {
@@ -171,15 +160,9 @@ void Host::run_task(faas::Submission task, faas::SubmissionOutcome& outcome) {
   }
   // Pull mode has no submit path on the host, so the stall/crash is
   // probed at task pickup instead: the host finishes this task, then
-  // stops pulling. Re-dispatched tasks are exempt, as on the push path.
+  // stops pulling.
   if (pull_mode_) {
-    if (!task.redispatched && healthy()) {
-      if (HORSE_FAULT_POINT("cluster.host_crash")) {
-        crash();
-      } else if (HORSE_FAULT_POINT("cluster.host_stall")) {
-        stall();
-      }
-    }
+    probe_faults(task);
     dispatched_.fetch_add(1, std::memory_order_relaxed);
   }
   outcome.host = id_;
@@ -187,12 +170,13 @@ void Host::run_task(faas::Submission task, faas::SubmissionOutcome& outcome) {
     std::lock_guard lock(latency_mutex_);
     dispatch_latency_.record(outcome.queueing);
   }
-  // Queue-delay EWMA (α = 1/8) for the scheduler's admission estimate.
-  // Benign race: two workers updating concurrently lose at most one
-  // sample's weight — it is an estimate, not an account.
-  const util::Nanos prev = queueing_ewma_.load(std::memory_order_relaxed);
-  queueing_ewma_.store(prev + (outcome.queueing - prev) / 8,
-                       std::memory_order_relaxed);
+  // Queue-delay EWMA for the scheduler's admission estimate. Benign
+  // race: two workers updating concurrently lose at most one sample's
+  // weight — it is an estimate, not an account.
+  queueing_ewma_.store(
+      ewma_step(queueing_ewma_.load(std::memory_order_relaxed),
+                outcome.queueing),
+      std::memory_order_relaxed);
   faas::InvokeControls controls;
   controls.now = util::monotonic_now();
   controls.deadline = task.deadline;
@@ -223,7 +207,6 @@ void Host::run_task(faas::Submission task, faas::SubmissionOutcome& outcome) {
       outcome.record = std::move(result->record);
     } else {
       outcome.status = result.status();
-      outcome.reject = controls.reject;
     }
   } else {
     auto result = platform_.invoke(task.function, std::move(task.request),
@@ -232,15 +215,29 @@ void Host::run_task(faas::Submission task, faas::SubmissionOutcome& outcome) {
       outcome.record = std::move(*result);
     } else {
       outcome.status = result.status();
-      outcome.reject = controls.reject;
     }
   }
+  outcome.reject = controls.reject;
   // Done (the outcome is about to be recorded): leave the in-flight set.
   // If the health sweep stole the set first, this erase is a no-op and
   // the completion surfaces as a zombie the ledger dedups.
   {
     std::lock_guard lock(inflight_mutex_);
     inflight_.erase(task.key);
+  }
+}
+
+void Host::probe_faults(const faas::Submission& task) {
+  // Re-dispatched submissions are exempt: a task stolen off a stalled host
+  // must not stall its rescue host too, or an always-armed stall site
+  // would steal/re-dispatch the same task forever without executing it.
+  // Same for crashes — re-dispatched orphans must land somewhere.
+  if (!task.redispatched && healthy()) {
+    if (HORSE_FAULT_POINT("cluster.host_crash")) {
+      crash();
+    } else if (HORSE_FAULT_POINT("cluster.host_stall")) {
+      stall();
+    }
   }
 }
 

@@ -172,6 +172,9 @@ class Host {
 
  private:
   void run_task(faas::Submission task, faas::SubmissionOutcome& outcome);
+  /// The cluster.host_crash / cluster.host_stall probe for one accepted
+  /// task (re-dispatched tasks and unhealthy hosts are exempt).
+  void probe_faults(const faas::Submission& task);
   void stall();
 
   const HostId id_;

@@ -2,20 +2,20 @@
 
 namespace horse::cluster {
 
-std::size_t RoundRobinPolicy::select(const std::vector<HostSnapshot>& hosts,
+std::size_t RoundRobinPolicy::select(std::span<const HostSnapshot> hosts,
                                      faas::FunctionId function) {
   (void)function;
   return static_cast<std::size_t>(next_++ % hosts.size());
 }
 
-std::size_t LeastLoadedPolicy::select(const std::vector<HostSnapshot>& hosts,
+std::size_t LeastLoadedPolicy::select(std::span<const HostSnapshot> hosts,
                                       faas::FunctionId function) {
   (void)function;
   std::size_t best = 0;
   for (std::size_t i = 1; i < hosts.size(); ++i) {
     const HostSnapshot& candidate = hosts[i];
     const HostSnapshot& incumbent = hosts[best];
-    // Ties break toward the lowest cluster-wide host ID (not vector
+    // Ties break toward the lowest cluster-wide host ID (not span
     // position), so the decision is stable however the healthy set was
     // assembled.
     if (candidate.load() < incumbent.load() ||
@@ -27,7 +27,7 @@ std::size_t LeastLoadedPolicy::select(const std::vector<HostSnapshot>& hosts,
   return best;
 }
 
-std::size_t MostWarmSlotsPolicy::select(const std::vector<HostSnapshot>& hosts,
+std::size_t MostWarmSlotsPolicy::select(std::span<const HostSnapshot> hosts,
                                         faas::FunctionId function) {
   (void)function;
   std::size_t best = 0;

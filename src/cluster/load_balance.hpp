@@ -13,22 +13,23 @@
 //                      function: route where the resume will be hot,
 //                      trading queue balance for fewer cold starts.
 //
-// Policies are deterministic pure functions of (snapshot vector, own
-// internal counters): given the same sequence of snapshot vectors they
+// Policies are deterministic pure functions of (snapshot span, own
+// internal counters): given the same sequence of snapshot spans they
 // make the same decisions, which is what lets the tests/cluster/ harness
 // replay every decision from a seed. They see only healthy hosts — the
-// scheduler pre-filters — and must return an index INTO THE VECTOR they
-// were given (the snapshot's `host` field carries the cluster-wide id).
+// decision core's Router pre-filters into fixed per-host storage — and
+// must return an index INTO THE SPAN they were given (the snapshot's
+// `host` field carries the cluster-wide id).
 //
-// Thread-safety: select() is called under the cluster's dispatch lock;
-// policies need no locking of their own.
+// Thread-safety: select() is called by the Router, under the cluster's
+// dispatch lock; policies need no locking of their own.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
-#include <vector>
 
 #include "faas/registry.hpp"
 #include "util/status.hpp"
@@ -68,21 +69,20 @@ class LoadBalancePolicy {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// Pick a host for one invocation of `function`. `hosts` is non-empty
-  /// and healthy-only; returns an index into it. Called under the
-  /// cluster's dispatch lock.
+  /// and healthy-only; returns an index into it.
   [[nodiscard]] virtual std::size_t select(
-      const std::vector<HostSnapshot>& hosts, faas::FunctionId function) = 0;
+      std::span<const HostSnapshot> hosts, faas::FunctionId function) = 0;
 };
 
 /// Rotates over healthy hosts. The rotation counter advances once per
 /// decision regardless of the host set's size, so fairness holds even as
-/// hosts are quarantined and the vector shrinks.
+/// hosts are quarantined and the span shrinks.
 class RoundRobinPolicy final : public LoadBalancePolicy {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
     return "round_robin";
   }
-  [[nodiscard]] std::size_t select(const std::vector<HostSnapshot>& hosts,
+  [[nodiscard]] std::size_t select(std::span<const HostSnapshot> hosts,
                                    faas::FunctionId function) override;
 
  private:
@@ -96,7 +96,7 @@ class LeastLoadedPolicy final : public LoadBalancePolicy {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "least_loaded";
   }
-  [[nodiscard]] std::size_t select(const std::vector<HostSnapshot>& hosts,
+  [[nodiscard]] std::size_t select(std::span<const HostSnapshot> hosts,
                                    faas::FunctionId function) override;
 };
 
@@ -107,7 +107,7 @@ class MostWarmSlotsPolicy final : public LoadBalancePolicy {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "most_warm";
   }
-  [[nodiscard]] std::size_t select(const std::vector<HostSnapshot>& hosts,
+  [[nodiscard]] std::size_t select(std::span<const HostSnapshot> hosts,
                                    faas::FunctionId function) override;
 };
 

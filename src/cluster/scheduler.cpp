@@ -1,7 +1,9 @@
 #include "cluster/scheduler.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
@@ -11,31 +13,50 @@
 namespace horse::cluster {
 
 util::Expected<DispatchMode> parse_dispatch_mode(std::string_view name) {
-  if (name == "push") {
-    return DispatchMode::kPush;
-  }
-  if (name == "pull") {
-    return DispatchMode::kPull;
+  if (name == "push" || name == "pull") {
+    return name == "push" ? DispatchMode::kPush : DispatchMode::kPull;
   }
   return util::Status{util::StatusCode::kInvalidArgument,
                       "unknown dispatch mode (expected push | pull)"};
 }
 
+namespace {
+
+ClusterConfig normalized(ClusterConfig config) {
+  config.num_hosts = std::max<std::size_t>(1, config.num_hosts);
+  if (config.workers_per_host == 0) {
+    config.workers_per_host =
+        std::max<std::size_t>(2, config.platform.num_cpus / 2);
+  }
+  return config;
+}
+
+/// Register on every host's registry with `add`; all hosts must hand
+/// back the same id.
+template <typename Add>
+auto add_on_every_host(const std::vector<std::unique_ptr<Host>>& hosts,
+                       Add&& add, std::string_view what) {
+  auto agreed = add(hosts.front()->platform().registry());
+  for (std::size_t i = 1; agreed && i < hosts.size(); ++i) {
+    auto result = add(hosts[i]->platform().registry());
+    if (result && *result != *agreed) {
+      result = util::Status{util::StatusCode::kInternal,
+                            "cluster: hosts disagree on " + std::string(what) +
+                                " id (registries diverged)"};
+    }
+    if (!result) {
+      return result;
+    }
+  }
+  return agreed;
+}
+
+}  // namespace
+
 ClusterScheduler::ClusterScheduler(ClusterConfig config)
-    : config_(std::move(config)),
-      policy_(make_policy(config_.policy)),
-      probe_backoff_(util::BackoffPolicy{config_.health.probe_backoff_base,
-                                         config_.health.probe_backoff_cap}),
-      // Decorrelated from the per-host platform streams (they offset by
-      // id * 7919); same cluster seed → same probe schedule.
-      probe_rng_(config_.platform.seed + 0x9e3779b9ULL) {
-  if (config_.num_hosts == 0) {
-    config_.num_hosts = 1;
-  }
-  if (config_.workers_per_host == 0) {
-    config_.workers_per_host = std::max<std::size_t>(
-        2, config_.platform.num_cpus / 2);
-  }
+    : config_(normalized(std::move(config))),
+      router_(config_.num_hosts, config_.policy),
+      detector_(config_.num_hosts, config_.health, config_.platform.seed) {
   if (config_.dispatch == DispatchMode::kPull) {
     pull_queue_ =
         std::make_unique<faas::SharedTaskQueue>(config_.pull_queue_capacity);
@@ -48,8 +69,6 @@ ClusterScheduler::ClusterScheduler(ClusterConfig config)
                                             config_.workers_per_host,
                                             pull_queue_.get(), max_sojourn));
   }
-  policy_decisions_.assign(hosts_.size(), 0);
-  leases_.resize(hosts_.size());
   if (config_.health.sweep_period > 0) {
     // Time-based health-sweep fallback: submission-driven sweeps only run
     // under traffic, so an idle cluster would never notice a dead host.
@@ -58,13 +77,10 @@ ClusterScheduler::ClusterScheduler(ClusterConfig config)
       std::mutex mutex;
       std::condition_variable_any wakeup;
       std::unique_lock lock(mutex);
-      while (!stoken.stop_requested()) {
-        // The predicate never passes: the wait ends on the period elapsing
-        // or on request_stop (which also makes the loop exit).
-        wakeup.wait_for(lock, stoken, period, [] { return false; });
-        if (stoken.stop_requested()) {
-          break;
-        }
+      // The predicate never passes: each wait ends on the period elapsing
+      // (sweep) or on request_stop (exit).
+      while (!wakeup.wait_for(lock, stoken, period, [] { return false; }) &&
+             !stoken.stop_requested()) {
         check_health();
       }
     });
@@ -88,63 +104,30 @@ ClusterScheduler::~ClusterScheduler() {
 
 util::Expected<faas::FunctionId> ClusterScheduler::register_function(
     const std::function<faas::FunctionSpec()>& make_spec) {
-  bool first = true;
-  faas::FunctionId agreed = 0;
-  for (auto& host : hosts_) {
-    auto result = host->platform().registry().add(make_spec());
-    if (!result) {
-      return result.status();
-    }
-    if (first) {
-      agreed = *result;
-      first = false;
-    } else if (*result != agreed) {
-      return util::Status{
-          util::StatusCode::kInternal,
-          "cluster: hosts disagree on function id (registries diverged)"};
-    }
-  }
-  return agreed;
+  return add_on_every_host(
+      hosts_, [&](faas::FunctionRegistry& r) { return r.add(make_spec()); },
+      "function");
 }
 
 util::Expected<faas::WorkflowId> ClusterScheduler::register_workflow(
     const faas::WorkflowSpec& spec) {
-  bool first = true;
-  faas::WorkflowId agreed = 0;
-  for (auto& host : hosts_) {
-    auto result = host->platform().registry().add_workflow(spec);
-    if (!result) {
-      return result.status();
-    }
-    if (first) {
-      agreed = *result;
-      first = false;
-    } else if (*result != agreed) {
-      return util::Status{
-          util::StatusCode::kInternal,
-          "cluster: hosts disagree on workflow id (registries diverged)"};
-    }
-  }
-  return agreed;
+  return add_on_every_host(
+      hosts_,
+      [&](faas::FunctionRegistry& r) { return r.add_workflow(spec); },
+      "workflow");
 }
 
 util::Status ClusterScheduler::provision(faas::FunctionId function,
                                          std::size_t count) {
   for (auto& host : hosts_) {
-    if (auto status = host->platform().provision(function, count);
-        !status.is_ok()) {
-      return status;
-    }
+    HORSE_RETURN_IF_ERROR(host->platform().provision(function, count));
   }
   return util::Status::ok();
 }
 
 util::Status ClusterScheduler::ensure_snapshot(faas::FunctionId function) {
   for (auto& host : hosts_) {
-    if (auto status = host->platform().ensure_snapshot(function);
-        !status.is_ok()) {
-      return status;
-    }
+    HORSE_RETURN_IF_ERROR(host->platform().ensure_snapshot(function));
   }
   return util::Status::ok();
 }
@@ -156,29 +139,18 @@ void ClusterScheduler::advance_time(util::Nanos delta) {
 }
 
 void ClusterScheduler::submit(faas::FunctionId function,
-                              workloads::Request request,
-                              faas::StartMode mode) {
-  submit(function, std::move(request), mode, 0);
-}
-
-void ClusterScheduler::submit(faas::FunctionId function,
                               workloads::Request request, faas::StartMode mode,
                               util::Nanos deadline) {
-  faas::Submission task;
-  task.function = function;
-  task.mode = mode;
-  task.request = std::move(request);
-  task.deadline = deadline;
-  admit_and_dispatch(std::move(task));
+  admit_and_dispatch({.function = function,
+                      .mode = mode,
+                      .request = std::move(request),
+                      .deadline = deadline});
 }
 
 void ClusterScheduler::submit_chain(faas::WorkflowId workflow,
                                     workloads::Request request,
                                     faas::StartMode mode,
                                     util::Nanos deadline) {
-  faas::Submission task;
-  task.workflow = workflow;
-  task.hop = 0;
   // Mirror the entry stage in `function` so routing policies and the
   // per-shard dispatch paths see the chain under its first stage's
   // identity. Unknown workflows keep function 0 and surface a typed
@@ -186,11 +158,11 @@ void ClusterScheduler::submit_chain(faas::WorkflowId workflow,
   // as an unknown function id.
   const auto spec =
       hosts_.front()->platform().registry().find_workflow(workflow);
-  task.function = spec ? (*spec)->stages.front() : 0;
-  task.mode = mode;
-  task.request = std::move(request);
-  task.deadline = deadline;
-  admit_and_dispatch(std::move(task));
+  admit_and_dispatch({.function = spec ? (*spec)->stages.front() : 0,
+                      .mode = mode,
+                      .request = std::move(request),
+                      .workflow = workflow,
+                      .deadline = deadline});
 }
 
 void ClusterScheduler::admit_and_dispatch(faas::Submission task) {
@@ -216,37 +188,19 @@ void ClusterScheduler::admit_and_dispatch(faas::Submission task) {
                   "admission: spurious shed (fault injection)");
       return;
     }
-    if (task.deadline != 0) {
-      const util::Nanos slack =
-          task.deadline > task.enqueued_at ? task.deadline - task.enqueued_at
-                                           : 0;
-      // Optimistic estimate (min over healthy hosts): shed only when even
-      // the least-loaded host's recent queue delay already eats the whole
-      // slack — executing would only produce a late, worthless response.
-      if (slack == 0 || queue_delay_estimate() > slack) {
-        record_shed(task, faas::SubmissionReject::kQueueShed,
-                    "admission: estimated queue delay exceeds deadline slack");
-        return;
-      }
+    if (task.deadline != 0 &&
+        sheds_on_slack(
+            task.deadline, task.enqueued_at,
+            queue_delay_estimate(
+                hosts_.size(),
+                [this](HostId id) { return hosts_[id]->healthy(); },
+                [this](HostId id) { return hosts_[id]->queueing_ewma(); }))) {
+      record_shed(task, faas::SubmissionReject::kQueueShed,
+                  "admission: estimated queue delay exceeds deadline slack");
+      return;
     }
   }
   dispatch(std::move(task));
-}
-
-util::Nanos ClusterScheduler::queue_delay_estimate() const {
-  util::Nanos best = 0;
-  bool any = false;
-  for (const auto& host : hosts_) {
-    if (!host->healthy()) {
-      continue;
-    }
-    const util::Nanos ewma = host->queueing_ewma();
-    if (!any || ewma < best) {
-      best = ewma;
-      any = true;
-    }
-  }
-  return any ? best : 0;
 }
 
 void ClusterScheduler::record_shed(const faas::Submission& task,
@@ -305,44 +259,19 @@ void ClusterScheduler::dispatch(faas::Submission task) {
     pull_queue_->push(std::move(task));
     return;
   }
-  std::lock_guard lock(dispatch_mutex_);
-  select_host_locked(task.function).submit(std::move(task));
-}
-
-Host& ClusterScheduler::select_host_locked(faas::FunctionId function) {
   const bool want_warm = config_.policy == PolicyKind::kMostWarmSlots;
-  std::vector<HostSnapshot> snapshots;
-  std::vector<Host*> healthy;
-  snapshots.reserve(hosts_.size());
-  healthy.reserve(hosts_.size());
-  for (auto& host : hosts_) {
-    if (host->healthy()) {
-      snapshots.push_back(host->snapshot(function, want_warm));
-      healthy.push_back(host.get());
-    }
+  std::lock_guard lock(dispatch_mutex_);
+  const RouteDecision route = router_.route(
+      task.function, [this](HostId id) { return hosts_[id]->healthy(); },
+      [&](HostId id) { return hosts_[id]->snapshot(task.function, want_warm); });
+  Host& chosen = *hosts_[route.host];
+  if (route.forced) {
+    // No healthy host: force-recover the router's pick. The stall model
+    // means the host works again once its workers are unparked (a crashed
+    // host's restart is forced too).
+    chosen.force_recover();
   }
-  if (healthy.empty()) {
-    // Bottom ladder rung: never drop a request. Force-recover host 0 and
-    // route there; the stall model means the host works again once its
-    // workers are unparked (a crashed host's restart is forced too).
-    forced_routes_.fetch_add(1, std::memory_order_relaxed);
-    hosts_.front()->force_recover();
-    // The recovered host leaves the out-of-rotation set, so the gauge
-    // comes down with it (identity: quarantine events == gauge + rejoins
-    // + forced routes).
-    gauge_decrement_quarantined();
-    policy_decisions_.front()++;
-    return *hosts_.front();
-  }
-  if (healthy.size() == 1 && hosts_.size() > 1) {
-    // One rung above: the cluster has gracefully degraded to single-host
-    // dispatch (sticky, observable; routing still works).
-    degraded_single_host_.store(true, std::memory_order_release);
-  }
-  const std::size_t choice = policy_->select(snapshots, function);
-  Host& chosen = *healthy[choice < healthy.size() ? choice : 0];
-  policy_decisions_[chosen.id()]++;
-  return chosen;
+  chosen.submit(std::move(task));
 }
 
 void ClusterScheduler::check_health() {
@@ -350,64 +279,44 @@ void ClusterScheduler::check_health() {
   const util::Nanos now = util::monotonic_now();
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     Host& host = *hosts_[i];
-    HostLease& lease = leases_[i];
     if (!host.healthy()) {
       // Out of rotation: half-open probe on the backoff schedule. A host
       // that answers (stall cleared, or crashed host restart()ed) is
       // rehydrated and rejoined; one that doesn't backs off further.
-      if (now >= lease.next_probe) {
-        probes_.fetch_add(1, std::memory_order_relaxed);
-        if (host.probe()) {
-          rejoin_locked(i, now);
-        } else {
-          ++lease.probe_streak;
-          lease.next_probe =
-              now + probe_backoff_.delay(lease.probe_streak, probe_rng_);
+      if (detector_.probe_due(i, now)) {
+        const bool answered = host.probe();
+        if (answered) {
+          rejoin_locked(host);
         }
+        detector_.probe_result(i, now, answered, host.completed());
       }
       continue;
     }
-    // Lease renewal: completion progress or a live (responsive) process
-    // both count as a heartbeat — only a CRASHED host can ever miss, so
-    // stall semantics are untouched by the detector.
-    const std::uint64_t completed = host.completed();
-    if (completed != lease.last_completed || host.responsive()) {
-      lease.last_completed = completed;
-      lease.missed = 0;
-      lease.deadline = now + config_.health.lease_duration;
-    } else if (now >= lease.deadline) {
-      ++lease.missed;
-      missed_heartbeats_.fetch_add(1, std::memory_order_relaxed);
-      lease.deadline = now + config_.health.lease_duration;
-      if (lease.missed >= config_.health.missed_to_death) {
-        declare_dead_locked(i, now);
-        continue;
-      }
-    }
-    // Stall fast path (PR5 semantics): a stalled host is still responsive,
-    // so it is quarantined immediately rather than waiting out a lease.
-    if (host.stalled()) {
-      hosts_quarantined_.fetch_add(1, std::memory_order_relaxed);
-      std::vector<faas::Submission> backlog = host.quarantine();
-      for (auto& task : backlog) {
-        // Exactly once: steal_pending removed these from the stalled
-        // host atomically, and the redispatched flag exempts them from
-        // the drop/stall fault sites on the way back in.
-        task.redispatched = true;
-        redispatched_.fetch_add(1, std::memory_order_relaxed);
-        dispatch(std::move(task));
-      }
-      lease.probe_streak = 1;
-      lease.next_probe = now + probe_backoff_.delay(1, probe_rng_);
+    switch (detector_.observe(
+        i, now, {host.completed(), host.responsive(), host.stalled()})) {
+      case LeaseVerdict::kDeclareDead:
+        declare_dead_locked(host, now);
+        break;
+      case LeaseVerdict::kQuarantine:
+        redispatch_backlog(host.quarantine());
+        break;
+      default:
+        break;
     }
   }
 }
 
-void ClusterScheduler::declare_dead_locked(std::size_t index, util::Nanos now) {
-  Host& host = *hosts_[index];
-  HostLease& lease = leases_[index];
+void ClusterScheduler::redispatch_backlog(
+    std::vector<faas::Submission> backlog) {
+  for (auto& task : backlog) {
+    task.redispatched = true;
+    redispatched_.fetch_add(1, std::memory_order_relaxed);
+    dispatch(std::move(task));
+  }
+}
+
+void ClusterScheduler::declare_dead_locked(Host& host, util::Nanos now) {
   hosts_declared_dead_.fetch_add(1, std::memory_order_relaxed);
-  hosts_quarantined_.fetch_add(1, std::memory_order_relaxed);
   host.mark_dead();
   const util::Nanos crashed_at = host.crashed_at();
   if (crashed_at != 0 && now > crashed_at) {
@@ -416,35 +325,20 @@ void ClusterScheduler::declare_dead_locked(std::size_t index, util::Nanos now) {
   }
   // Queued backlog first: these never started, so plain exactly-once
   // re-dispatch (same as the stall path) covers them.
-  for (auto& task : host.dispatcher().steal_pending()) {
-    task.redispatched = true;
-    redispatched_.fetch_add(1, std::memory_order_relaxed);
-    dispatch(std::move(task));
-  }
+  redispatch_backlog(host.dispatcher().steal_pending());
   // In-flight orphans: the dispatcher always finishes a dequeued task, so
-  // each of these WILL surface a late (zombie) completion. Register the
-  // key in the ledger and re-dispatch a copy — drain() keeps whichever
+  // each of these WILL surface a late (zombie) completion. The ledger
+  // adopts the key and a copy is re-dispatched — drain() keeps whichever
   // outcome lands first and suppresses the other.
   for (auto& task : host.take_inflight()) {
-    if (task.redispatched) {
-      // Already a re-dispatched copy (stolen off an earlier death): its
-      // zombie completion is the one surviving outcome for its key.
-      // Re-dispatching again would mint a THIRD outcome and break the
-      // drain arithmetic (submitted + orphans_redispatched).
-      continue;
+    if (ledger_.adopt(task.key, task.redispatched)) {
+      task.redispatched = true;
+      dispatch(std::move(task));
     }
-    orphan_keys_.insert(task.key);
-    orphans_redispatched_.fetch_add(1, std::memory_order_relaxed);
-    task.redispatched = true;
-    dispatch(std::move(task));
   }
-  lease.probe_streak = 1;
-  lease.next_probe = now + probe_backoff_.delay(1, probe_rng_);
 }
 
-void ClusterScheduler::rejoin_locked(std::size_t index, util::Nanos now) {
-  Host& host = *hosts_[index];
-  HostLease& lease = leases_[index];
+void ClusterScheduler::rejoin_locked(Host& host) {
   if (config_.health.rehydrate_top_k != 0) {
     // Warm rejoin BEFORE re-entering rotation (the health mutex keeps the
     // half-rejoined host invisible to routing): restore pooled sandboxes
@@ -455,20 +349,7 @@ void ClusterScheduler::rejoin_locked(std::size_t index, util::Nanos now) {
                               config_.health.rehydrate_per_function);
   }
   host.force_recover();
-  gauge_decrement_quarantined();
   hosts_rejoined_.fetch_add(1, std::memory_order_relaxed);
-  lease.missed = 0;
-  lease.probe_streak = 0;
-  lease.last_completed = host.completed();
-  lease.deadline = now + config_.health.lease_duration;
-}
-
-void ClusterScheduler::gauge_decrement_quarantined() {
-  std::uint64_t current = hosts_quarantined_.load(std::memory_order_relaxed);
-  while (current > 0 &&
-         !hosts_quarantined_.compare_exchange_weak(
-             current, current - 1, std::memory_order_relaxed)) {
-  }
 }
 
 std::vector<faas::SubmissionOutcome> ClusterScheduler::drain() {
@@ -479,8 +360,7 @@ std::vector<faas::SubmissionOutcome> ClusterScheduler::drain() {
     // the target grows with the ledger. Both terms are re-read every
     // iteration — the sweep above can declare further deaths mid-drain.
     const std::uint64_t target =
-        submitted_.load(std::memory_order_acquire) +
-        orphans_redispatched_.load(std::memory_order_acquire);
+        submitted_.load(std::memory_order_acquire) + ledger_.adopted();
     // Shed submissions never reach a host; their typed outcomes complete
     // the accounting (completed + shed == submitted + orphans when idle).
     std::uint64_t done = shed_count_.load(std::memory_order_acquire);
@@ -493,32 +373,26 @@ std::vector<faas::SubmissionOutcome> ClusterScheduler::drain() {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::vector<faas::SubmissionOutcome> out;
-  std::uint64_t suppressed = 0;
   {
     // Ledger consultation only — no dispatching happens under this hold,
     // so the health → dispatch lock edge is not exercised here.
     std::lock_guard guard(health_mutex_);
     for (auto& host : hosts_) {
       for (auto& outcome : host->dispatcher().take_outcomes()) {
-        if (outcome.key != 0 && orphan_keys_.contains(outcome.key) &&
-            !delivered_orphans_.insert(outcome.key).second) {
-          // Second sighting of an orphaned key: zombie vs re-dispatched
-          // copy, whichever landed later. Suppressed as a typed
-          // kDuplicateSuppressed — counted, never surfaced, so every
-          // submission completes exactly once.
-          ++suppressed;
-          continue;
+        // The second sighting of an orphaned key (zombie vs re-dispatched
+        // copy, whichever landed later) is suppressed as a typed
+        // kDuplicateSuppressed — counted, never surfaced, so every
+        // submission completes exactly once.
+        if (ledger_.deliver(outcome.key)) {
+          out.push_back(std::move(outcome));
         }
-        out.push_back(std::move(outcome));
       }
     }
   }
-  duplicates_suppressed_.fetch_add(suppressed, std::memory_order_relaxed);
   {
     std::lock_guard lock(shed_mutex_);
-    for (auto& outcome : shed_outcomes_) {
-      out.push_back(std::move(outcome));
-    }
+    std::move(shed_outcomes_.begin(), shed_outcomes_.end(),
+              std::back_inserter(out));
     shed_outcomes_.clear();
   }
   return out;
@@ -532,30 +406,24 @@ ClusterCounters ClusterScheduler::counters() const {
     counters.host_stalls += host->stall_faults();
     counters.expired += host->expired();
     counters.host_crashes += host->crash_faults();
-    counters.rehydrated_sandboxes +=
-        host->platform().counters().rehydrated_sandboxes;
+    counters.hosts_quarantined += host->healthy() ? 0 : 1;
+    counters.rehydrated_sandboxes += host->platform().rehydrated_sandboxes();
   }
   counters.shed = shed_count_.load(std::memory_order_acquire);
   counters.shed_queue_full =
       shed_queue_full_.load(std::memory_order_relaxed);
   counters.spurious_sheds = spurious_sheds_.load(std::memory_order_relaxed);
-  counters.hosts_quarantined =
-      hosts_quarantined_.load(std::memory_order_relaxed);
   counters.redispatched = redispatched_.load(std::memory_order_relaxed);
   counters.dispatch_drops = dispatch_drops_.load(std::memory_order_relaxed);
-  counters.forced_routes = forced_routes_.load(std::memory_order_relaxed);
-  counters.missed_heartbeats =
-      missed_heartbeats_.load(std::memory_order_relaxed);
+  counters.forced_routes = router_.forced_routes();
+  counters.missed_heartbeats = detector_.missed_heartbeats();
   counters.hosts_declared_dead =
       hosts_declared_dead_.load(std::memory_order_relaxed);
-  counters.probes = probes_.load(std::memory_order_relaxed);
+  counters.probes = detector_.probes();
   counters.hosts_rejoined = hosts_rejoined_.load(std::memory_order_relaxed);
-  counters.orphans_redispatched =
-      orphans_redispatched_.load(std::memory_order_relaxed);
-  counters.duplicates_suppressed =
-      duplicates_suppressed_.load(std::memory_order_relaxed);
-  counters.degraded_single_host =
-      degraded_single_host_.load(std::memory_order_acquire);
+  counters.orphans_redispatched = ledger_.adopted();
+  counters.duplicates_suppressed = ledger_.suppressed();
+  counters.degraded_single_host = router_.degraded_single_host();
   return counters;
 }
 
@@ -565,11 +433,10 @@ ClusterStats ClusterScheduler::stats() const {
   stats.dispatch = config_.dispatch;
   stats.counters = counters();
   stats.hosts.reserve(hosts_.size());
-  std::vector<std::uint64_t> decisions;
-  {
+  const std::vector<std::uint64_t> decisions = [this] {
     std::lock_guard lock(dispatch_mutex_);
-    decisions = policy_decisions_;
-  }
+    return router_.decisions();
+  }();
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     const Host& host = *hosts_[i];
     HostStats entry;

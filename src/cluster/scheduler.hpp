@@ -14,10 +14,17 @@
 //     burst on a hot function can never convoy behind one host's
 //     backlog while other hosts sit idle.
 //
-// Cluster-level state is tiny and reconstructable (Dirigent): the
-// scheduler owns only the policy object, the monotonic submit counter,
-// the per-host policy-decision counters, and fault counters. Everything
-// in stats() — occupancy, completions, health — is recomputed from the
+// Every decision — routing and the degradation ladder, admission, the
+// lease detector, the orphan ledger — is made by the decision core
+// (decision_core.hpp), the same code SimCluster drives in virtual time.
+// This class runs it on threads: it hands the core `now` and what it
+// observed of the hosts, and carries out the verdicts (force-recover,
+// steal, re-dispatch, rehydrate).
+//
+// Cluster-level state is tiny and reconstructable (Dirigent): beyond the
+// core's state, the scheduler owns only the monotonic submit counter
+// and fault counters. Everything in stats() — occupancy, completions,
+// health, the hosts_quarantined gauge — is recomputed from the
 // hosts' own atomics at call time; quarantining a host writes one flag
 // on the host, not a parallel registry here.
 //
@@ -36,17 +43,16 @@
 //
 // Crash tolerance (DESIGN.md §5.7) extends the ladder to hosts that
 // DIE rather than stall:
-//   * Failure detection — per-host leases (HostLease). A host renews by
-//     making completion progress or answering a liveness probe; a
-//     non-responsive host misses its lease deadline, and after
+//   * Failure detection — the core's per-host leases (LeaseDetector). A
+//     host renews by making completion progress or answering a liveness
+//     probe; a non-responsive host misses its lease deadline, and after
 //     `missed_to_death` consecutive misses the sweep declares it dead.
 //     A background sweeper thread ticks every `sweep_period` so an IDLE
-//     cluster notices dead hosts too (sweeps used to run only on
-//     submission activity).
+//     cluster notices dead hosts too.
 //   * Exactly-once orphan recovery — declared death steals both the
 //     dead host's queued backlog AND its in-flight set. In-flight
-//     orphans are re-dispatched through a dedup ledger keyed on the
-//     submission's idempotency key: the dispatcher always finishes a
+//     orphans are re-dispatched through the core's OrphanLedger, keyed on
+//     the submission's idempotency key: the dispatcher always finishes a
 //     dequeued task, so the dead host eventually emits a LATE (zombie)
 //     completion for each orphan — drain() surfaces exactly one of
 //     {zombie, re-dispatched copy} per key and suppresses the other as
@@ -59,9 +65,9 @@
 //     restart()ed) rehydrates the host's warm pools for its top-k
 //     recently-invoked functions (Platform::rehydrate — post-failover
 //     traffic resumes kWarm/kHorse, not kCold) and only THEN returns
-//     it to rotation. `hosts_quarantined` is a gauge (decrements on
-//     rejoin); `degraded_single_host` stays sticky as a "this
-//     happened" flag but no longer blocks recovery.
+//     it to rotation. `hosts_quarantined` is a gauge (the hosts out of
+//     rotation right now); `degraded_single_host` stays sticky as a
+//     "this happened" flag but no longer blocks recovery.
 //
 // Fault sites: cluster.host_stall, cluster.host_crash (see host.hpp)
 // and cluster.dispatch_drop — a modelled lost dispatch, detected and
@@ -71,7 +77,9 @@
 // Lock hierarchy (extends the platform's, left before right):
 //   health sweep mutex → cluster dispatch mutex → host dispatcher worker
 //   mutex → [Platform: shard → resume → manager → queue → load]
-// The health mutex also directly precedes the platform shard mutexes on
+// The health mutex guards the core's LeaseDetector and OrphanLedger, the
+// dispatch mutex its Router; counters() takes neither (the core's
+// counters are relaxed atomics). The health mutex also directly precedes the platform shard mutexes on
 // the rejoin path (rehydration runs under the sweep so a half-rejoined
 // host is never routed to); the host's in-flight set has its own leaf
 // mutex below all of these. drain() polls host counters with no lock
@@ -91,16 +99,14 @@
 #include <mutex>
 #include <string_view>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
+#include "cluster/decision_core.hpp"
 #include "cluster/host.hpp"
 #include "cluster/load_balance.hpp"
 #include "faas/platform.hpp"
 #include "faas/submission.hpp"
 #include "metrics/histogram.hpp"
-#include "util/backoff.hpp"
-#include "util/rng.hpp"
 
 namespace horse::cluster {
 
@@ -122,31 +128,6 @@ struct ClusterAdmissionConfig {
   /// queued longer than this expire at dequeue. 0 disables (per-task
   /// deadlines are always honoured regardless).
   util::Nanos max_sojourn = 0;
-};
-
-/// Lease/heartbeat failure detector + rejoin knobs.
-struct FailureDetectorConfig {
-  /// Lease a renewing host holds. A healthy host renews by making
-  /// completion progress or answering a liveness probe; once the lease
-  /// expires with neither, each subsequent sweep past the deadline
-  /// counts one missed heartbeat. 0 = every no-progress sweep of a
-  /// non-responsive host is a miss (deterministic tests).
-  util::Nanos lease_duration = 5 * util::kMillisecond;
-  /// Consecutive missed heartbeats before a host is declared dead.
-  std::size_t missed_to_death = 3;
-  /// Background sweeper period — the time-based fallback that lets an
-  /// IDLE cluster notice dead hosts (submission-driven sweeps only fire
-  /// under traffic). 0 disables the sweeper thread.
-  util::Nanos sweep_period = 1 * util::kMillisecond;
-  /// Half-open probe schedule for unhealthy hosts: full-jitter
-  /// util::Backoff over the consecutive-failed-probe streak.
-  util::Nanos probe_backoff_base = 1 * util::kMillisecond;
-  util::Nanos probe_backoff_cap = 50 * util::kMillisecond;
-  /// Warm rejoin: rehydrate this many most-recently-invoked functions,
-  /// this many pooled sandboxes each, before re-entering rotation.
-  /// rehydrate_top_k = 0 disables rehydration (rejoin lands cold).
-  std::size_t rehydrate_top_k = 4;
-  std::size_t rehydrate_per_function = 1;
 };
 
 struct ClusterConfig {
@@ -172,8 +153,8 @@ struct ClusterCounters {
   /// Stall faults fired across hosts (cluster.host_stall).
   std::uint64_t host_stalls = 0;
   /// GAUGE: hosts currently out of rotation (quarantined or declared
-  /// dead). Increments on quarantine/declared death, decrements when a
-  /// half-open probe rejoins the host or a forced route recovers it —
+  /// dead), counted from the hosts' own health flags at read time. A
+  /// half-open probe rejoin or a forced route brings it down —
   /// quarantine is no longer sticky.
   std::uint64_t hosts_quarantined = 0;
   /// Backlog submissions re-routed off quarantined hosts (each exactly
@@ -283,16 +264,13 @@ class ClusterScheduler {
   void advance_time(util::Nanos delta);
 
   /// Fire-and-collect (push: policy + host queue; pull: shared queue).
+  /// `deadline` is an absolute monotonic timestamp (0 = none). Deadline
+  /// submissions pass admission control — when the cluster's estimated
+  /// queue delay already exceeds the remaining slack (or the pull queue
+  /// is full) the submission is shed with a typed outcome instead of
+  /// queueing toward certain expiry.
   void submit(faas::FunctionId function, workloads::Request request,
-              faas::StartMode mode);
-
-  /// Deadline-carrying submit: `deadline` is an absolute monotonic
-  /// timestamp (0 = none). Deadline submissions pass admission control —
-  /// when the cluster's estimated queue delay already exceeds the
-  /// remaining slack (or the pull queue is full) the submission is shed
-  /// with a typed outcome instead of queueing toward certain expiry.
-  void submit(faas::FunctionId function, workloads::Request request,
-              faas::StartMode mode, util::Nanos deadline);
+              faas::StartMode mode, util::Nanos deadline = 0);
 
   /// Register the same workflow chain on every host (stage ids must
   /// already agree across hosts — register_function guarantees that).
@@ -307,11 +285,6 @@ class ClusterScheduler {
   /// casualty from its frontier and never re-executes completed stages.
   void submit_chain(faas::WorkflowId workflow, workloads::Request request,
                     faas::StartMode mode, util::Nanos deadline = 0);
-
-  /// The admission check's queue-delay estimate: minimum dispatch-latency
-  /// EWMA over healthy hosts (optimistic — the cluster sheds only when
-  /// EVERY healthy host is already backed up past the slack).
-  [[nodiscard]] util::Nanos queue_delay_estimate() const;
 
   /// Wait for every accepted submission and take the outcomes (from all
   /// hosts; order is per-host arbitrary — sort by .seq if needed).
@@ -333,59 +306,45 @@ class ClusterScheduler {
   }
 
  private:
-  /// Per-host lease state (all fields under health_mutex_).
-  struct HostLease {
-    /// Monotonic deadline of the current lease (0 = not yet armed).
-    util::Nanos deadline = 0;
-    /// Host completion count at the last renewal (progress detector).
-    std::uint64_t last_completed = 0;
-    /// Consecutive missed heartbeats; reset on renewal.
-    std::size_t missed = 0;
-    /// Consecutive failed half-open probes (backoff attempt number).
-    std::size_t probe_streak = 0;
-    /// Earliest instant the next half-open probe may fire.
-    util::Nanos next_probe = 0;
-  };
-
   /// Common front door for submit()/submit_chain(): assign seq + key,
   /// run the periodic health check, apply admission (spurious-shed fault
   /// site, deadline-slack shed), then dispatch.
   void admit_and_dispatch(faas::Submission task);
+  /// Pull: the shared queue. Push: the router's host, under the dispatch
+  /// mutex; a forced route force-recovers its host first.
   void dispatch(faas::Submission task);
-  /// Healthy-host selection + policy bookkeeping; handles the
-  /// degradation ladder. Returns the chosen host.
-  Host& select_host_locked(faas::FunctionId function);
   /// Record a typed shed outcome (never a silent drop): the submission is
   /// refused here, at the cluster front door, and its outcome surfaces
   /// from drain() like any completion.
   void record_shed(const faas::Submission& task, faas::SubmissionReject reject,
                    std::string_view detail);
-  /// Failure-detector verdict (health_mutex_ held): mark the host dead,
-  /// steal its backlog + in-flight set, re-dispatch orphans through the
-  /// ledger, and arm the half-open probe schedule.
-  void declare_dead_locked(std::size_t index, util::Nanos now);
+  /// Re-dispatch a backlog stolen off an out-of-rotation host. Exactly
+  /// once: the steal removed the tasks from the host atomically, and the
+  /// redispatched flag exempts them from the drop/stall fault sites on
+  /// the way back in.
+  void redispatch_backlog(std::vector<faas::Submission> backlog);
+  /// Declared-death side effects (health_mutex_ held): mark the host
+  /// dead, steal its backlog + in-flight set, re-dispatch the orphans the
+  /// ledger adopts.
+  void declare_dead_locked(Host& host, util::Nanos now);
   /// Successful half-open probe (health_mutex_ held): rehydrate warm
-  /// pools, return the host to rotation, reset its lease.
-  void rejoin_locked(std::size_t index, util::Nanos now);
-  /// Guarded decrement of the hosts_quarantined_ gauge (never
-  /// underflows — a forced route may recover a host that was never
-  /// counted into the gauge).
-  void gauge_decrement_quarantined();
+  /// pools, then return the host to rotation.
+  void rejoin_locked(Host& host);
 
   ClusterConfig config_;
-  std::unique_ptr<LoadBalancePolicy> policy_;
   std::unique_ptr<faas::SharedTaskQueue> pull_queue_;  // pull mode only
   std::vector<std::unique_ptr<Host>> hosts_;
 
   mutable std::mutex health_mutex_;
   mutable std::mutex dispatch_mutex_;
-  std::vector<std::uint64_t> policy_decisions_;  // per host, dispatch lock
+  // The decision core (decision_core.hpp), each part driven under the
+  // mutex that serialises its decisions.
+  Router router_;           // dispatch_mutex_
+  LeaseDetector detector_;  // health_mutex_
+  OrphanLedger ledger_;     // health_mutex_
   std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> hosts_quarantined_{0};
   std::atomic<std::uint64_t> redispatched_{0};
   std::atomic<std::uint64_t> dispatch_drops_{0};
-  std::atomic<std::uint64_t> forced_routes_{0};
-  std::atomic<bool> degraded_single_host_{false};
 
   // Shed bookkeeping: outcomes buffered here until drain() merges them
   // with host completions. shed_count_ is an atomic so drain's
@@ -397,23 +356,8 @@ class ClusterScheduler {
   std::atomic<std::uint64_t> spurious_sheds_{0};
 
   // --- crash tolerance (DESIGN.md §5.7) ------------------------------------
-  /// Per-host leases; indexed like hosts_. Guarded by health_mutex_.
-  std::vector<HostLease> leases_;
-  /// Orphan ledger (health_mutex_): keys of in-flight submissions stolen
-  /// off declared-dead hosts. delivered_orphans_ records which of those
-  /// keys already surfaced one outcome — the second one is suppressed.
-  std::unordered_set<std::uint64_t> orphan_keys_;
-  std::unordered_set<std::uint64_t> delivered_orphans_;
-  /// Half-open probe schedule; rng state guarded by health_mutex_.
-  util::Backoff probe_backoff_;
-  util::Xoshiro256 probe_rng_;
-
-  std::atomic<std::uint64_t> missed_heartbeats_{0};
   std::atomic<std::uint64_t> hosts_declared_dead_{0};
-  std::atomic<std::uint64_t> probes_{0};
   std::atomic<std::uint64_t> hosts_rejoined_{0};
-  std::atomic<std::uint64_t> orphans_redispatched_{0};
-  std::atomic<std::uint64_t> duplicates_suppressed_{0};
   std::atomic<util::Nanos> last_detection_latency_{0};
 
   /// Background sweeper: the time-based health-sweep fallback. Declared

@@ -2,18 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 namespace horse::cluster {
 
+namespace {
+
+/// A nominal service time run at a host's speed multiplier.
+util::Nanos scaled(util::Nanos service, double speed) {
+  return static_cast<util::Nanos>(static_cast<double>(service) * speed);
+}
+
+}  // namespace
+
 SimCluster::SimCluster(SimClusterParams params)
-    : params_(std::move(params)),
-      policy_(make_policy(params_.policy)),
+    : params_([&] {
+        params.num_hosts = std::max<std::size_t>(1, params.num_hosts);
+        return std::move(params);
+      }()),
+      router_(params_.num_hosts, params_.policy),
       rng_(params_.seed) {
-  if (params_.num_hosts == 0) {
-    params_.num_hosts = 1;
-  }
   hosts_.resize(params_.num_hosts);
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     hosts_[i].params =
@@ -26,18 +36,15 @@ SimCluster::SimCluster(SimClusterParams params)
 
 HostSnapshot SimCluster::snapshot_of(HostId id) const {
   const SimHost& host = hosts_[id];
-  HostSnapshot snap;
-  snap.host = id;
-  snap.healthy = host.healthy;
-  snap.queued = host.queue.size();
-  snap.in_flight = host.in_flight;
-  snap.capacity = host.params.slots;
-  snap.free_slots = host.params.slots > host.in_flight + host.queue.size()
-                        ? host.params.slots - host.in_flight - host.queue.size()
-                        : 0;
-  snap.warm_slots = host.params.warm_slots;
-  snap.dispatched = host.dispatched;
-  return snap;
+  const std::size_t busy = host.in_flight + host.queue.size();
+  return {.host = id,
+          .healthy = host.healthy,
+          .free_slots = host.params.slots > busy ? host.params.slots - busy : 0,
+          .queued = host.queue.size(),
+          .in_flight = host.in_flight,
+          .capacity = host.params.slots,
+          .warm_slots = host.params.warm_slots,
+          .dispatched = host.dispatched};
 }
 
 util::Nanos SimCluster::jittered(util::Nanos service) {
@@ -52,38 +59,16 @@ util::Nanos SimCluster::jittered(util::Nanos service) {
   return static_cast<util::Nanos>(static_cast<double>(service) * factor);
 }
 
-util::Nanos SimCluster::queue_delay_estimate() const {
-  util::Nanos best = 0;
-  bool any = false;
-  for (const SimHost& host : hosts_) {
-    if (!host.healthy) {
-      continue;
-    }
-    if (!any || host.queueing_ewma < best) {
-      best = host.queueing_ewma;
-      any = true;
-    }
-  }
-  return any ? best : 0;
-}
-
 void SimCluster::record_rejection(const Task& task, util::Nanos at,
                                   faas::SubmissionReject reject) {
   // The ledger covers rejections too: if an orphan's re-dispatched copy
   // expires at dequeue AFTER its zombie already completed (or vice
   // versa), the second typed outcome is suppressed — exactly one outcome
   // per seq, whatever its kind.
-  if (orphan_seqs_.contains(task.seq) &&
-      !delivered_orphans_.insert(task.seq).second) {
-    ++duplicates_suppressed_;
+  if (!ledger_.deliver(task.seq)) {
     return;
   }
-  SimRejection rejection;
-  rejection.seq = task.seq;
-  rejection.function = task.function;
-  rejection.time = at;
-  rejection.reject = reject;
-  rejections_.push_back(rejection);
+  rejections_.push_back({task.seq, task.function, at, reject});
 }
 
 bool SimCluster::expire_if_due(const Task& task, util::Nanos at) {
@@ -101,25 +86,22 @@ void SimCluster::start_on(HostId id, Task task, util::Nanos at) {
   // the stolen copy keeps the nominal (pre-scaling) service time so a
   // re-dispatched orphan re-scales on its rescue host, as in reality.
   host.running.emplace(task.seq, task);
-  // Same α = 1/8 update the real Host applies at task pickup.
-  host.queueing_ewma += ((at - task.arrival) - host.queueing_ewma) / 8;
+  host.queueing_ewma = ewma_step(host.queueing_ewma, at - task.arrival);
   ++host.in_flight;
   // Chains scale stage-by-stage so the finish time equals the last stage
   // boundary exactly — declare_dead's hop arithmetic and the finish heap
   // must place the same boundaries or a completed stage could look
   // un-run (and re-execute) after an orphan re-dispatch.
-  util::Nanos scaled = 0;
+  util::Nanos span = 0;
   if (task.stage_services.empty()) {
-    scaled = static_cast<util::Nanos>(
-        static_cast<double>(task.service) * host.params.speed);
+    span = scaled(task.service, host.params.speed);
   } else {
     for (std::size_t i = task.hop; i < task.stage_services.size(); ++i) {
-      scaled += static_cast<util::Nanos>(
-          static_cast<double>(task.stage_services[i]) * host.params.speed);
+      span += scaled(task.stage_services[i], host.params.speed);
     }
   }
   Finish finish;
-  finish.time = at + host.params.overhead + scaled;
+  finish.time = at + host.params.overhead + span;
   finish.order = next_order_++;
   finish.host = id;
   finish.task = std::move(task);
@@ -129,45 +111,34 @@ void SimCluster::start_on(HostId id, Task task, util::Nanos at) {
   finishes_.push(std::move(finish));
 }
 
-void SimCluster::push_dispatch(Task task, util::Nanos at) {
-  std::vector<HostSnapshot> candidates;
-  std::vector<HostId> healthy;
-  candidates.reserve(hosts_.size());
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    if (hosts_[i].healthy) {
-      candidates.push_back(snapshot_of(i));
-      healthy.push_back(i);
-    }
+void SimCluster::dispatch(Task task, util::Nanos at) {
+  if (params_.dispatch == DispatchMode::kPull) {
+    shared_queue_.push_back(std::move(task));
+    pull_try_bind(at);
+    return;
   }
-  SimDecision decision;
-  decision.seq = task.seq;
-  decision.time = at;
-  decision.function = task.function;
-  HostId chosen = 0;
-  if (healthy.empty()) {
-    // Ladder bottom: never drop — force host 0, as the real scheduler
-    // force-recovers it.
-    decision.forced = true;
-    ++forced_;
-  } else {
-    const std::size_t index = policy_->select(candidates, task.function);
-    chosen = healthy[index < healthy.size() ? index : 0];
-    decision.candidates = std::move(candidates);
-  }
-  decision.host = chosen;
-  decisions_.push_back(std::move(decision));
+  const RouteDecision route = router_.route(
+      task.function, [this](HostId id) { return hosts_[id].healthy; },
+      [this](HostId id) { return snapshot_of(id); });
+  decisions_.push_back(
+      {.seq = task.seq,
+       .time = at,
+       .function = task.function,
+       .host = route.host,
+       .candidates = {route.candidates.begin(), route.candidates.end()},
+       .forced = route.forced});
+  place(route.host, std::move(task), at);
+}
 
-  SimHost& host = hosts_[chosen];
+void SimCluster::place(HostId id, Task task, util::Nanos at) {
+  SimHost& host = hosts_.at(id);
   ++host.dispatched;
-  if (host.in_flight < host.params.slots) {
+  if (host.in_flight >= host.params.slots) {
+    host.queue.push_back(std::move(task));
+  } else if (!expire_if_due(task, at)) {
     // Starting now IS the dequeue; a task whose deadline has already
     // passed is expired instead of run (the slot stays free).
-    if (expire_if_due(task, at)) {
-      return;
-    }
-    start_on(chosen, std::move(task), at);
-  } else {
-    host.queue.push_back(std::move(task));
+    start_on(id, std::move(task), at);
   }
 }
 
@@ -179,13 +150,10 @@ void SimCluster::pull_try_bind(util::Nanos at) {
     HostId best = 0;
     std::size_t best_free = 0;
     for (std::size_t i = 0; i < hosts_.size(); ++i) {
-      if (!hosts_[i].healthy) {
-        continue;
-      }
       const SimHost& host = hosts_[i];
-      const std::size_t free =
-          host.params.slots > host.in_flight ? host.params.slots - host.in_flight
-                                             : 0;
+      const std::size_t free = host.healthy && host.params.slots > host.in_flight
+                                   ? host.params.slots - host.in_flight
+                                   : 0;
       if (free > best_free) {
         best_free = free;
         best = i;
@@ -201,12 +169,10 @@ void SimCluster::pull_try_bind(util::Nanos at) {
     if (expire_if_due(task, at)) {
       continue;
     }
-    SimDecision decision;
-    decision.seq = task.seq;
-    decision.time = at;
-    decision.function = task.function;
-    decision.host = best;
-    decisions_.push_back(std::move(decision));
+    decisions_.push_back({.seq = task.seq,
+                          .time = at,
+                          .function = task.function,
+                          .host = best});
     ++hosts_[best].dispatched;
     start_on(best, std::move(task), at);
   }
@@ -219,25 +185,20 @@ void SimCluster::complete_due(util::Nanos now) {
     SimHost& host = hosts_[finish.host];
     --host.in_flight;
     host.running.erase(finish.task.seq);  // no-op if declare_dead stole it
-    SimCompletion done;
-    done.seq = finish.task.seq;
-    done.function = finish.task.function;
-    done.host = finish.host;
-    done.arrival = finish.task.arrival;
-    done.finish = finish.time;
-    done.start = finish.time - finish.task.service;
-    done.deadline = finish.task.deadline;
-    done.chain_hop = finish.task.hop;
-    done.chain_stages =
-        static_cast<std::uint32_t>(finish.task.stage_services.size());
     // Dedup ledger: an orphaned seq delivers exactly one completion —
-    // zombie or re-dispatched copy, whichever finishes first; the second
-    // sighting is suppressed (the scheduler's drain()-merge mirror).
-    if (orphan_seqs_.contains(done.seq) &&
-        !delivered_orphans_.insert(done.seq).second) {
-      ++duplicates_suppressed_;
-    } else {
-      completions_.push_back(done);
+    // zombie or re-dispatched copy, whichever finishes first.
+    if (ledger_.deliver(finish.task.seq)) {
+      completions_.push_back(
+          {.seq = finish.task.seq,
+           .function = finish.task.function,
+           .host = finish.host,
+           .arrival = finish.task.arrival,
+           .start = finish.time - finish.task.service,
+           .finish = finish.time,
+           .deadline = finish.task.deadline,
+           .chain_hop = finish.task.hop,
+           .chain_stages =
+               static_cast<std::uint32_t>(finish.task.stage_services.size())});
     }
     if (params_.dispatch == DispatchMode::kPush) {
       // The freed slot starts the host's own backlog head (push keeps
@@ -269,22 +230,16 @@ void SimCluster::advance_to(util::Nanos now) {
 }
 
 void SimCluster::submit(util::Nanos at, faas::FunctionId function,
-                        util::Nanos service) {
-  submit(at, function, service, 0);
-}
-
-void SimCluster::submit(util::Nanos at, faas::FunctionId function,
                         util::Nanos service, util::Nanos deadline) {
   advance_to(at);
-  Task task;
-  task.seq = next_seq_++;
-  task.function = function;
-  task.arrival = at;
-  task.service = jittered(service);  // drawn before any shed: the RNG
-                                     // stream stays a pure function of the
-                                     // submission sequence
-  task.deadline = deadline;
-  admit_or_dispatch(std::move(task), at);
+  // The jitter draw comes before any shed: the RNG stream stays a pure
+  // function of the submission sequence.
+  admit_or_dispatch({.seq = next_seq_++,
+                     .function = function,
+                     .arrival = at,
+                     .service = jittered(service),
+                     .deadline = deadline},
+                    at);
 }
 
 void SimCluster::submit_chain(util::Nanos at, faas::FunctionId function,
@@ -294,18 +249,15 @@ void SimCluster::submit_chain(util::Nanos at, faas::FunctionId function,
     throw std::invalid_argument("SimCluster: chain needs at least one stage");
   }
   advance_to(at);
-  Task task;
-  task.seq = next_seq_++;
-  task.function = function;
-  task.arrival = at;
-  task.deadline = deadline;
+  Task task{.seq = next_seq_++,
+            .function = function,
+            .arrival = at,
+            .deadline = deadline};
   // ONE jitter draw scales the whole chain (drawn before any shed, like
   // submit): every submission — chain or plain — consumes exactly one
   // draw, keeping the stream a pure function of the submission sequence.
-  util::Nanos total = 0;
-  for (const util::Nanos service : stage_services) {
-    total += service;
-  }
+  const util::Nanos total = std::accumulate(
+      stage_services.begin(), stage_services.end(), util::Nanos{0});
   const util::Nanos jittered_total = jittered(total);
   task.stage_services.reserve(stage_services.size());
   if (total == 0) {
@@ -315,14 +267,12 @@ void SimCluster::submit_chain(util::Nanos at, faas::FunctionId function,
     // stage boundaries sum to the finish time exactly.
     util::Nanos accumulated = 0;
     for (std::size_t i = 0; i < stage_services.size(); ++i) {
-      util::Nanos share;
-      if (i + 1 == stage_services.size()) {
-        share = jittered_total - accumulated;
-      } else {
-        share = static_cast<util::Nanos>(
-            static_cast<double>(stage_services[i]) *
-            static_cast<double>(jittered_total) / static_cast<double>(total));
-      }
+      const util::Nanos share =
+          i + 1 == stage_services.size()
+              ? jittered_total - accumulated
+              : static_cast<util::Nanos>(static_cast<double>(stage_services[i]) *
+                                         static_cast<double>(jittered_total) /
+                                         static_cast<double>(total));
       task.stage_services.push_back(share);
       accumulated += share;
     }
@@ -333,8 +283,11 @@ void SimCluster::submit_chain(util::Nanos at, faas::FunctionId function,
 
 void SimCluster::admit_or_dispatch(Task task, util::Nanos at) {
   if (params_.admission && task.deadline != 0) {
-    const util::Nanos slack = task.deadline > at ? task.deadline - at : 0;
-    if (slack == 0 || queue_delay_estimate() > slack) {
+    if (sheds_on_slack(
+            task.deadline, at,
+            queue_delay_estimate(
+                hosts_.size(), [this](HostId id) { return hosts_[id].healthy; },
+                [this](HostId id) { return hosts_[id].queueing_ewma; }))) {
       record_rejection(task, at, faas::SubmissionReject::kQueueShed);
       return;
     }
@@ -345,12 +298,7 @@ void SimCluster::admit_or_dispatch(Task task, util::Nanos at) {
       return;
     }
   }
-  if (params_.dispatch == DispatchMode::kPull) {
-    shared_queue_.push_back(std::move(task));
-    pull_try_bind(at);
-  } else {
-    push_dispatch(std::move(task), at);
-  }
+  dispatch(std::move(task), at);
 }
 
 util::Nanos SimCluster::run_to_completion() {
@@ -371,13 +319,11 @@ void SimCluster::set_healthy(HostId host, bool healthy) {
 
 std::vector<std::uint64_t> SimCluster::steal_backlog(HostId host) {
   std::vector<std::uint64_t> seqs;
-  SimHost& victim = hosts_.at(host);
-  for (Task& task : victim.queue) {
+  for (Task& task : std::exchange(hosts_.at(host).queue, {})) {
     seqs.push_back(task.seq);
     task.redispatched = true;
     stolen_.push_back(std::move(task));
   }
-  victim.queue.clear();
   return seqs;
 }
 
@@ -391,12 +337,7 @@ void SimCluster::redispatch(std::uint64_t seq, util::Nanos at) {
   }
   Task task = std::move(*it);
   stolen_.erase(it);
-  if (params_.dispatch == DispatchMode::kPull) {
-    shared_queue_.push_back(std::move(task));
-    pull_try_bind(at);
-  } else {
-    push_dispatch(std::move(task), at);
-  }
+  dispatch(std::move(task), at);
 }
 
 void SimCluster::crash_host(HostId host, util::Nanos at) {
@@ -405,11 +346,7 @@ void SimCluster::crash_host(HostId host, util::Nanos at) {
   victim.crashed = true;
   victim.healthy = false;
   victim.params.warm_slots = 0;  // a dead host's warm state is gone
-  SimDecision event;
-  event.time = at;
-  event.host = host;
-  event.kind = SimEventKind::kCrash;
-  decisions_.push_back(std::move(event));
+  decisions_.push_back({.time = at, .host = host, .kind = SimEventKind::kCrash});
 }
 
 std::vector<std::uint64_t> SimCluster::declare_dead(HostId host,
@@ -417,31 +354,14 @@ std::vector<std::uint64_t> SimCluster::declare_dead(HostId host,
   advance_to(at);
   SimHost& victim = hosts_.at(host);
   victim.healthy = false;
-  std::vector<std::uint64_t> seqs;
   // Queued backlog: never started, so plain exactly-once re-dispatch.
-  for (Task& task : victim.queue) {
-    seqs.push_back(task.seq);
-    task.redispatched = true;
-    stolen_.push_back(std::move(task));
-  }
-  victim.queue.clear();
+  std::vector<std::uint64_t> seqs = steal_backlog(host);
   // In-flight orphans: their Finish entries stay scheduled (the host
   // always finishes a started task — the zombie), and a fresh copy goes
-  // through the ledger so exactly one completion per seq survives.
-  // Sorted by seq: unordered_map iteration order must not leak into the
-  // stolen set, or seed replay would stop being bit-identical.
-  std::vector<Task> orphans;
-  orphans.reserve(victim.running.size());
-  for (auto& [seq, task] : victim.running) {
-    orphans.push_back(std::move(task));
-  }
-  victim.running.clear();
-  std::sort(orphans.begin(), orphans.end(),
-            [](const Task& a, const Task& b) { return a.seq < b.seq; });
-  for (Task& task : orphans) {
-    if (task.redispatched) {
-      // A copy already re-dispatched off an earlier death: its zombie IS
-      // the surviving outcome; a second copy would make three sightings.
+  // through the ledger so exactly one completion per seq survives. They
+  // are taken in seq order, so the stolen set replays bit-identically.
+  for (auto& [seq, task] : std::exchange(victim.running, {})) {
+    if (!ledger_.adopt(task.seq, task.redispatched)) {
       continue;
     }
     if (!task.stage_services.empty()) {
@@ -455,31 +375,22 @@ std::vector<std::uint64_t> SimCluster::declare_dead(HostId host,
       util::Nanos boundary = task.started_at + victim.params.overhead;
       std::uint32_t hop = task.hop;
       while (hop < task.stage_services.size()) {
-        boundary += static_cast<util::Nanos>(
-            static_cast<double>(task.stage_services[hop]) *
-            victim.params.speed);
+        boundary += scaled(task.stage_services[hop], victim.params.speed);
         if (boundary > at) {
           break;
         }
         ++hop;
       }
       task.hop = hop;
-      util::Nanos remaining = 0;
-      for (std::size_t i = hop; i < task.stage_services.size(); ++i) {
-        remaining += task.stage_services[i];
-      }
-      task.service = remaining;
+      task.service = std::accumulate(task.stage_services.begin() + hop,
+                                     task.stage_services.end(), util::Nanos{0});
     }
-    orphan_seqs_.insert(task.seq);
     seqs.push_back(task.seq);
     task.redispatched = true;
     stolen_.push_back(std::move(task));
   }
-  SimDecision event;
-  event.time = at;
-  event.host = host;
-  event.kind = SimEventKind::kDeclareDead;
-  decisions_.push_back(std::move(event));
+  decisions_.push_back(
+      {.time = at, .host = host, .kind = SimEventKind::kDeclareDead});
   return seqs;
 }
 
@@ -490,11 +401,8 @@ void SimCluster::recover_host(HostId host, util::Nanos at,
   revived.crashed = false;
   revived.healthy = true;
   revived.params.warm_slots = rehydrated_warm_slots;
-  SimDecision event;
-  event.time = at;
-  event.host = host;
-  event.kind = SimEventKind::kRejoin;
-  decisions_.push_back(std::move(event));
+  decisions_.push_back(
+      {.time = at, .host = host, .kind = SimEventKind::kRejoin});
   if (params_.dispatch == DispatchMode::kPull) {
     pull_try_bind(at);  // the rejoined host's slots are pullable again
   }
@@ -502,18 +410,8 @@ void SimCluster::recover_host(HostId host, util::Nanos at,
 
 void SimCluster::occupy(HostId host, std::size_t count, util::Nanos service) {
   for (std::size_t i = 0; i < count; ++i) {
-    Task task;
-    task.seq = next_seq_++;
-    task.function = 0;
-    task.arrival = now_;
-    task.service = service;
-    SimHost& target = hosts_.at(host);
-    ++target.dispatched;
-    if (target.in_flight < target.params.slots) {
-      start_on(host, std::move(task), now_);
-    } else {
-      target.queue.push_back(std::move(task));
-    }
+    place(host, {.seq = next_seq_++, .arrival = now_, .service = service},
+          now_);
   }
 }
 
@@ -522,11 +420,8 @@ void SimCluster::set_warm_slots(HostId host, std::size_t warm) {
 }
 
 std::vector<std::uint64_t> SimCluster::dispatch_counts() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(hosts_.size());
-  for (const SimHost& host : hosts_) {
-    out.push_back(host.dispatched);
-  }
+  std::vector<std::uint64_t> out(hosts_.size());
+  std::ranges::transform(hosts_, out.begin(), &SimHost::dispatched);
   return out;
 }
 

@@ -1,19 +1,23 @@
-// Deterministic virtual-time cluster model (the tests/cluster/ harness).
+// Deterministic virtual-time cluster harness (tests/cluster/) around the
+// cluster decision core.
 //
 // The real ClusterScheduler runs jthread worker pools, so its interleavings
-// are not replayable. This model is: one thread, virtual nanoseconds, and a
-// single seeded RNG stream drawn in submission order. Given the same
+// are not replayable. This harness is: one thread, virtual nanoseconds, and
+// a single seeded RNG stream drawn in submission order. Given the same
 // (params, seed, submission sequence) it produces the same decision log,
 // the same per-host assignment, and the same latency numbers — which is
 // what lets the property tests sweep 1024 seeds and re-run any failure
 // from its seed alone.
 //
-// The model exercises the REAL policy objects (cluster/load_balance.hpp):
-// policies see HostSnapshots built from modelled hosts exactly the way the
-// real scheduler builds them from Dispatcher counters, so a policy bug
-// caught here is a policy bug in production.
+// The decisions are not modelled: routing, the degradation ladder,
+// admission and the orphan ledger run in the same decision core
+// (decision_core.hpp) the scheduler drives, fed HostSnapshots built from
+// modelled hosts exactly the way the scheduler builds them from
+// Dispatcher counters — so a decision bug caught here is a decision bug
+// in production. What this class models is host behaviour: slots,
+// service times, queues, crashes.
 //
-// Dispatch modes mirror the real scheduler:
+// Dispatch modes follow the real scheduler:
 //   * push — early binding: the policy picks a host at submit time; the
 //     task queues there even if the host is busy (head-of-line blocking is
 //     faithfully modelled — this is what E18 measures).
@@ -25,18 +29,20 @@
 // Controllability for tests: per-host speed/overhead/jitter/slots,
 // set_healthy() between submissions (quarantine modelling), occupy() to
 // pre-load a host with synthetic work, set_warm_slots() to steer the
-// warm-aware policy. Every decision records the candidate snapshot vector
-// it was made from, so invariants ("never picked a strictly-more-loaded
+// warm-aware policy. Every decision records the candidate snapshots it
+// was made from, so invariants ("never picked a strictly-more-loaded
 // host") are checked against the exact evidence the policy saw.
 //
-// Crash mirror (the real scheduler's §5.7 model in virtual time):
+// Crash model (the real scheduler's §5.7 model in virtual time):
 // crash_host() kills a host wholesale — out of rotation, warm slots gone,
 // but tasks already started STILL finish (the dispatcher-always-finishes
 // rule) and surface as zombie completions. declare_dead() steals the
 // queued backlog AND the in-flight orphans (the caller re-dispatches, as
-// the scheduler does) and registers the orphan seqs in a dedup ledger:
+// the scheduler does) and the core's OrphanLedger adopts the orphan seqs:
 // exactly one of {zombie, re-dispatched copy} lands in completions(); the
-// other bumps duplicates_suppressed(). recover_host() models restart +
+// other bumps duplicates_suppressed(). The lease detector that would
+// declare the death is not run here: tests choose the instant, and the
+// detector has its own virtual-time sweep. recover_host() models restart +
 // warm rejoin (rehydrated warm slots restored). All three log typed
 // events (SimEventKind) into the decision log, so a seed's crash/recover
 // schedule replays bit-identically with everything else.
@@ -44,12 +50,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <map>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "cluster/decision_core.hpp"
 #include "cluster/load_balance.hpp"
 #include "cluster/scheduler.hpp"
 #include "metrics/histogram.hpp"
@@ -77,7 +82,7 @@ struct SimClusterParams {
   DispatchMode dispatch = DispatchMode::kPush;
   PolicyKind policy = PolicyKind::kRoundRobin;
   std::uint64_t seed = 1;
-  /// Cluster-style admission control, mirrored in virtual time: acts only
+  /// The core's admission control, run in virtual time: acts only
   /// on deadline-carrying submissions (sheds when the per-host queueing
   /// EWMA exceeds the remaining slack; expires stale tasks at dequeue).
   bool admission = true;
@@ -109,7 +114,7 @@ struct SimDecision {
   /// The healthy-only snapshot vector handed to the policy (empty for
   /// pull-mode bindings, which are slot-availability driven, and for
   /// forced routes).
-  std::vector<HostSnapshot> candidates;
+  std::vector<HostSnapshot> candidates{};
   /// No healthy host existed; the ladder forced host 0.
   bool forced = false;
   /// kDispatch for routing decisions; crash/declare-dead/rejoin events
@@ -158,17 +163,16 @@ class SimCluster {
   /// Submit one invocation at virtual time `at` (non-decreasing across
   /// calls) with nominal service time `service`. Completions due before
   /// `at` are processed first, so snapshots reflect the state at `at`.
-  void submit(util::Nanos at, faas::FunctionId function, util::Nanos service);
-
-  /// Deadline-carrying submit (`deadline` absolute virtual time; 0 =
-  /// none). With admission on, may shed (kQueueShed/kQueueFull) at submit
-  /// or expire (kDeadlineExpired) at dequeue — each recorded in
+  /// `deadline` is absolute virtual time (0 = none). With admission on, a
+  /// deadline submission may shed (kQueueShed/kQueueFull) at submit or
+  /// expire (kDeadlineExpired) at dequeue — each recorded in
   /// rejections() exactly once.
   void submit(util::Nanos at, faas::FunctionId function, util::Nanos service,
-              util::Nanos deadline);
+              util::Nanos deadline = 0);
 
-  /// Submit a workflow chain as ONE routed unit (the submit_chain mirror):
-  /// `function` is the chain's entry-stage identity (what routing sees),
+  /// Submit a workflow chain as ONE routed unit, as
+  /// ClusterScheduler::submit_chain does: `function` is the chain's
+  /// entry-stage identity (what routing sees),
   /// `stage_services` the nominal per-stage service times. One jitter
   /// draw scales the whole chain, so chain and plain submissions each
   /// consume exactly one draw and the RNG stream stays aligned with the
@@ -200,7 +204,7 @@ class SimCluster {
   /// Re-dispatch a stolen task (by its original seq) at time `at`.
   void redispatch(std::uint64_t seq, util::Nanos at);
 
-  // --- crash mirror --------------------------------------------------------
+  // --- crash model ---------------------------------------------------------
 
   /// Kill a host wholesale at `at`: out of rotation, warm slots gone.
   /// Tasks it already started still run to completion (zombies); its
@@ -225,7 +229,7 @@ class SimCluster {
   /// Zombie completions dropped by the dedup ledger (each orphaned seq
   /// completes exactly once; the other sighting lands here).
   [[nodiscard]] std::uint64_t duplicates_suppressed() const noexcept {
-    return duplicates_suppressed_;
+    return ledger_.suppressed();
   }
 
   /// Pre-load `count` synthetic tasks of `service` each onto a host at the
@@ -244,7 +248,9 @@ class SimCluster {
     return rejections_;
   }
   [[nodiscard]] std::vector<std::uint64_t> dispatch_counts() const;
-  [[nodiscard]] std::size_t forced_routes() const noexcept { return forced_; }
+  [[nodiscard]] std::size_t forced_routes() const noexcept {
+    return router_.forced_routes();
+  }
   [[nodiscard]] util::Nanos now() const noexcept { return now_; }
 
   /// Merged queueing-delay histogram (arrival → start).
@@ -260,11 +266,11 @@ class SimCluster {
     util::Nanos service = 0;
     util::Nanos deadline = 0;  // absolute; 0 = none
     bool redispatched = false;
-    /// Chain mirror: post-jitter nominal per-stage services (empty =
+    /// Chain model: post-jitter nominal per-stage services (empty =
     /// plain task), the hop cursor (first stage still to run), and the
     /// virtual time the current execution started (set by start_on; what
     /// declare_dead uses to place the dying host's stage boundaries).
-    std::vector<util::Nanos> stage_services;
+    std::vector<util::Nanos> stage_services{};
     std::uint32_t hop = 0;
     util::Nanos started_at = 0;
   };
@@ -276,11 +282,12 @@ class SimCluster {
     std::size_t in_flight = 0;
     std::deque<Task> queue;  // push-mode backlog
     /// Tasks started but not finished, keyed by seq (pre-scaling service
-    /// copies) — the in-flight set declare_dead() steals orphans from.
-    std::unordered_map<std::uint64_t, Task> running;
+    /// copies) — the in-flight set declare_dead() steals orphans from, in
+    /// seq order.
+    std::map<std::uint64_t, Task> running;
     std::uint64_t dispatched = 0;
-    /// Virtual-time queueing EWMA (α = 1/8), the admission estimate —
-    /// the mirror of Host::queueing_ewma().
+    /// Queueing EWMA the admission estimate reads (Host::queueing_ewma()
+    /// in virtual time).
     util::Nanos queueing_ewma = 0;
   };
 
@@ -296,10 +303,15 @@ class SimCluster {
 
   [[nodiscard]] HostSnapshot snapshot_of(HostId id) const;
   /// Shared tail of submit()/submit_chain(): admission (deadline-slack
-  /// shed, bounded pull queue), then dispatch by mode.
+  /// shed, bounded pull queue), then dispatch().
   void admit_or_dispatch(Task task, util::Nanos at);
+  /// By mode: the shared FIFO (pull), or the router's host (push; the
+  /// decision is logged with the snapshots the policy saw).
+  void dispatch(Task task, util::Nanos at);
   void start_on(HostId id, Task task, util::Nanos at);
-  void push_dispatch(Task task, util::Nanos at);
+  /// Bind a task to a host: start it if a slot is free (expiring it
+  /// instead when its deadline has passed), else queue it there.
+  void place(HostId id, Task task, util::Nanos at);
   void pull_try_bind(util::Nanos at);
   void complete_due(util::Nanos now);
   [[nodiscard]] util::Nanos jittered(util::Nanos service);
@@ -308,11 +320,11 @@ class SimCluster {
   bool expire_if_due(const Task& task, util::Nanos at);
   void record_rejection(const Task& task, util::Nanos at,
                         faas::SubmissionReject reject);
-  /// Min queueing EWMA over healthy hosts (the admission estimate).
-  [[nodiscard]] util::Nanos queue_delay_estimate() const;
 
   SimClusterParams params_;
-  std::unique_ptr<LoadBalancePolicy> policy_;
+  Router router_;
+  /// Keyed on seq: the sim's idempotency key.
+  OrphanLedger ledger_;
   util::Xoshiro256 rng_;
   std::vector<SimHost> hosts_;
   std::deque<Task> shared_queue_;  // pull-mode FIFO
@@ -321,15 +333,9 @@ class SimCluster {
   std::vector<SimCompletion> completions_;
   std::vector<SimRejection> rejections_;
   std::vector<Task> stolen_;  // parked between steal_backlog and redispatch
-  /// Dedup ledger, mirroring the scheduler's: seqs orphaned off dead
-  /// hosts, and which of those already delivered their one completion.
-  std::unordered_set<std::uint64_t> orphan_seqs_;
-  std::unordered_set<std::uint64_t> delivered_orphans_;
-  std::uint64_t duplicates_suppressed_ = 0;
   util::Nanos now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_order_ = 0;
-  std::size_t forced_ = 0;
 };
 
 /// Route a whole arrival schedule through a SimCluster policy and split it

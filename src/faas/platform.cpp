@@ -207,7 +207,7 @@ util::Status Platform::rehydrate(FunctionId function, std::size_t target) {
         lifecycle_engine(shard_index, *sandbox).start(*sandbox));
     HORSE_RETURN_IF_ERROR(
         pause_and_pool(s, shard_index, function, std::move(sandbox)));
-    ++s.counters.rehydrated_sandboxes;
+    s.rehydrated_sandboxes.fetch_add(1, std::memory_order_relaxed);
   }
   return util::Status::ok();
 }
@@ -411,8 +411,8 @@ util::Expected<InvocationRecord> Platform::admit_segment(
   }
 
   s.inflight.fetch_add(1, std::memory_order_acq_rel);
-  util::Expected<InvocationRecord> result =
-      util::Status{util::StatusCode::kInternal, "invoke: unreachable"};
+  InvocationRecord record;
+  util::Status status;
   {
     // Same-function invocations serialise here (which is also what keeps a
     // function's workload-implementation state single-threaded); functions
@@ -436,19 +436,24 @@ util::Expected<InvocationRecord> Platform::admit_segment(
       retry_budget_.deposit();
     }
 
-    result = run_segment(s, shard_index, segment, request, mode, now, controls);
-    if (result) {
-      // A segment books as ONE invocation, by the mode its single start
-      // actually completed with: a ladder-demoted kHorse request that
-      // finished as a cold start is a cold start in the books.
+    status = run_segment(s, shard_index, segment, request, mode, now,
+                         controls, record);
+    // A segment books as ONE invocation, by the mode its single start
+    // actually completed with: a ladder-demoted kHorse request that
+    // finished as a cold start is a cold start in the books. A deadline
+    // that runs out mid-segment refuses the rest of a fused run, but its
+    // sandbox started and bodies ran: that books as an invocation too,
+    // never as failed (the caller still gets the typed refusal).
+    if (status.is_ok() ||
+        controls.reject == SubmissionReject::kDeadlineExpired) {
       ++s.counters.invocations;
-      switch (result->mode) {
+      switch (record.mode) {
         case StartMode::kCold: ++s.counters.cold; break;
         case StartMode::kRestore: ++s.counters.restore; break;
         case StartMode::kWarm: ++s.counters.warm; break;
         case StartMode::kHorse: ++s.counters.horse; break;
       }
-      if (result->mode != result->requested) {
+      if (record.mode != record.requested) {
         ++s.counters.degraded_invocations;
       }
     } else {
@@ -456,13 +461,17 @@ util::Expected<InvocationRecord> Platform::admit_segment(
     }
   }
   s.inflight.fetch_sub(1, std::memory_order_acq_rel);
-  return result;
+  if (!status.is_ok()) {
+    return status;
+  }
+  return record;
 }
 
-util::Expected<InvocationRecord> Platform::run_segment(
-    ControlShard& shard, std::size_t shard_index, const Segment& segment,
-    workloads::Request& request, StartMode mode, util::Nanos now,
-    InvokeControls& controls) {
+util::Status Platform::run_segment(ControlShard& shard, std::size_t shard_index,
+                                   const Segment& segment,
+                                   workloads::Request& request, StartMode mode,
+                                   util::Nanos now, InvokeControls& controls,
+                                   InvocationRecord& record) {
   const FunctionId entry = segment.stages[segment.begin];
   const auto spec_lookup = registry_.find(entry);
   if (!spec_lookup) {
@@ -492,7 +501,6 @@ util::Expected<InvocationRecord> Platform::run_segment(
   const DegradationPolicy& ladder = config_.degradation;
   const util::Backoff backoff{
       util::BackoffPolicy{ladder.retry_backoff_base, ladder.retry_backoff_cap}};
-  InvocationRecord record;
   std::unique_ptr<vmm::Sandbox> sandbox;
   std::uint32_t fallbacks = 0;
   util::Nanos backoff_total = 0;
@@ -625,7 +633,7 @@ util::Expected<InvocationRecord> Platform::run_segment(
       ++segment.chain->per_stage_dispatches;
     }
   }
-  return record;
+  return util::Status::ok();
 }
 
 void Platform::handle_resume_failure(ControlShard& shard, FunctionId function,
@@ -744,6 +752,15 @@ PlatformCounters Platform::counters() const {
         shard->overload_rejections.load(std::memory_order_relaxed);
     total.deadline_rejections +=
         shard->deadline_rejections.load(std::memory_order_relaxed);
+  }
+  total.rehydrated_sandboxes = rehydrated_sandboxes();
+  return total;
+}
+
+std::uint64_t Platform::rehydrated_sandboxes() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->rehydrated_sandboxes.load(std::memory_order_relaxed);
   }
   return total;
 }

@@ -461,6 +461,10 @@ class Platform {
   /// `target` is left untouched, so rejoin after a mere stall (warm state
   /// intact) restores nothing.
   util::Status rehydrate(FunctionId function, std::size_t target);
+  /// Sandboxes rehydrate() has restored so far (counters()'s
+  /// rehydrated_sandboxes), read without any shard mutex — a running body
+  /// holds its shard's mutex, so this read never waits for one.
+  [[nodiscard]] std::uint64_t rehydrated_sandboxes() const noexcept;
 
   /// The up-to-k most recently invoked registered functions, most recent
   /// first, ranked by the keep-alive history's last-arrival time. This is
@@ -528,6 +532,8 @@ class Platform {
     /// folded into PlatformCounters by Platform::counters()).
     std::atomic<std::uint64_t> overload_rejections{0};
     std::atomic<std::uint64_t> deadline_rejections{0};
+    /// Counted under the mutex, read without it (rehydrated_sandboxes()).
+    std::atomic<std::uint64_t> rehydrated_sandboxes{0};
   };
 
   [[nodiscard]] ControlShard& shard(FunctionId function) {
@@ -598,11 +604,13 @@ class Platform {
   /// advance between them, one pause_and_pool. Only the ENTRY stage
   /// records a keep-alive arrival — interior stages never take a pool
   /// slot, so counting them would inflate their pre-warm ranking. `now` is
-  /// the admission timestamp breaker transitions are recorded at.
-  util::Expected<InvocationRecord> run_segment(
-      ControlShard& shard, std::size_t shard_index, const Segment& segment,
-      workloads::Request& request, StartMode mode, util::Nanos now,
-      InvokeControls& controls);
+  /// the admission timestamp breaker transitions are recorded at. Fills
+  /// `record` for the start it made, also when a deadline then stops the
+  /// segment mid-way.
+  util::Status run_segment(ControlShard& shard, std::size_t shard_index,
+                           const Segment& segment, workloads::Request& request,
+                           StartMode mode, util::Nanos now,
+                           InvokeControls& controls, InvocationRecord& record);
 
   /// Health bookkeeping for a pooled sandbox whose resume failed: strike
   /// its failure counter; quarantine (release + destroy) at the

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "cluster/scheduler.hpp"
+#include "held_function.hpp"
 #include "util/fault_injection.hpp"
 #include "workloads/array_filter.hpp"
 
@@ -179,48 +180,7 @@ TEST_F(ClusterFaultTest, QuarantinedHostKeepsItsHealthFlagUntilRecovered) {
 
 // --- crash tolerance (cluster.host_crash, §5.7) ----------------------------
 
-/// A body that blocks until the test releases it, so a task stays in
-/// flight across health sweeps without a bet on how long it takes to run.
-class HeldFunction final : public workloads::Function {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "held";
-  }
-  [[nodiscard]] workloads::Category category() const noexcept override {
-    return workloads::Category::kBackground;
-  }
-  [[nodiscard]] util::Nanos nominal_duration() const noexcept override {
-    return util::kMillisecond;
-  }
-  workloads::Response invoke(const workloads::Request&) override {
-    entered_.fetch_add(1, std::memory_order_acq_rel);
-    released_.wait(false, std::memory_order_acquire);
-    workloads::Response response;
-    response.allowed = true;
-    return response;
-  }
-
-  /// Wait (bounded) until `count` bodies have started.
-  [[nodiscard]] bool wait_entered(int count) const {
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (entered_.load(std::memory_order_acquire) < count) {
-      if (std::chrono::steady_clock::now() > give_up) {
-        return false;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    return true;
-  }
-  void release() {
-    released_.store(true, std::memory_order_release);
-    released_.notify_all();
-  }
-
- private:
-  std::atomic<int> entered_{0};
-  std::atomic<bool> released_{false};
-};
+using test_harness::HeldFunction;
 
 TEST_F(ClusterFaultTest, CrashedHostIsDeclaredDeadAndBacklogRedispatched) {
   ClusterConfig config = make_config(2, DispatchMode::kPush);

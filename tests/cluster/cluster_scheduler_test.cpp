@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <set>
+#include <thread>
 
+#include "held_function.hpp"
 #include "workloads/array_filter.hpp"
 #include "workloads/nat.hpp"
 
@@ -205,6 +209,38 @@ TEST(ClusterSchedulerTest, ErrorsSurfaceInOutcomes) {
   for (const auto& outcome : outcomes) {
     EXPECT_FALSE(outcome.status.is_ok());
   }
+}
+
+TEST(ClusterSchedulerTest, CountersReadDoesNotWaitForARunningBody) {
+  ClusterConfig config =
+      make_config(1, DispatchMode::kPush, PolicyKind::kRoundRobin);
+  config.health.sweep_period = 0;
+  ClusterScheduler cluster(config);
+  const auto held = std::make_shared<test_harness::HeldFunction>();
+  const auto fn = cluster.register_function([&held] {
+    faas::FunctionSpec spec;
+    spec.name = "held";
+    spec.implementation = held;
+    spec.sandbox.name = "held-sb";
+    spec.sandbox.num_vcpus = 1;
+    spec.sandbox.memory_mb = 1;
+    spec.sandbox.ull = true;
+    return spec;
+  });
+  ASSERT_TRUE(fn);
+  cluster.submit(*fn, filter_request(), faas::StartMode::kCold);
+  ASSERT_TRUE(held->wait_entered(1)) << "the held body never started";
+  // The body now runs inside its shard's mutex until release().
+  std::promise<ClusterCounters> read;
+  std::future<ClusterCounters> answer = read.get_future();
+  std::thread reader([&] { read.set_value(cluster.counters()); });
+  const bool answered =
+      answer.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  held->release();
+  reader.join();
+  EXPECT_TRUE(answered) << "counters() waited for the running body";
+  EXPECT_EQ(answer.get().submitted, 1u);
+  expect_all_ok(cluster.drain(), 1);
 }
 
 }  // namespace

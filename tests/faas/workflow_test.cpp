@@ -4,7 +4,8 @@
 // uLL/non-uLL boundary split points), the fusion planner, the fused
 // single-resume execution path (one pool take, interior stages never
 // recorded as arrivals), hop-cursor resume after a mid-chain start
-// failure, per-hop deadline slack accounting, and concurrent workflow
+// failure, per-hop deadline slack accounting (a fused run the deadline
+// stops mid-way still books as one invocation), and concurrent workflow
 // add vs find under the registry's shared lock.
 #include <gtest/gtest.h>
 
@@ -461,6 +462,45 @@ TEST_F(WorkflowPlatformTest, DeadlineSlackAccountedPerHop) {
   EXPECT_EQ(tight.hop, 1u);
   EXPECT_EQ(slow_a->calls(), 1);
   EXPECT_EQ(slow_b->calls(), 0);  // never started after the slack ran out
+}
+
+TEST_F(WorkflowPlatformTest, MidSegmentDeadlineBooksTheFusedRunAsAnInvocation) {
+  Platform platform(make_config());
+  // A fusable uLL chain whose first stage spins ~10 ms: 2 ms of slack
+  // admits the fused segment, which then runs out of deadline after hop 0.
+  auto slow = std::make_shared<CountingFunction>("fused-slow",
+                                                 10 * util::kMillisecond);
+  auto next = std::make_shared<CountingFunction>("fused-next");
+  WorkflowSpec spec;
+  spec.name = "fused-slow-chain";
+  spec.stages = {*platform.registry().add(make_spec(slow, true)),
+                 *platform.registry().add(make_spec(next, true))};
+  const WorkflowId workflow = *platform.registry().add_workflow(spec);
+  ASSERT_TRUE(platform.provision(spec.stages[0], 1).is_ok());
+
+  InvokeControls tight;
+  tight.now = util::monotonic_now();
+  tight.deadline = tight.now + 2 * util::kMillisecond;
+  const auto stranded = platform.invoke_chain(
+      workflow, request_with_header("pkt"), StartMode::kHorse, tight);
+  ASSERT_FALSE(stranded.has_value());
+  EXPECT_EQ(stranded.status().code(), util::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(tight.reject, SubmissionReject::kDeadlineExpired);
+  EXPECT_EQ(tight.hop, 1u) << "the cursor sits past the last body that ran";
+  EXPECT_EQ(slow->calls(), 1);
+  EXPECT_EQ(next->calls(), 0);
+
+  // The sandbox started and a body ran: one invocation by its start mode,
+  // not a failure, and the per-mode sum still equals invocations.
+  const PlatformCounters counters = platform.counters();
+  EXPECT_EQ(counters.failed, 0u);
+  EXPECT_EQ(counters.invocations, 1u);
+  EXPECT_EQ(counters.horse, 1u);
+  EXPECT_EQ(counters.cold + counters.restore + counters.warm + counters.horse,
+            counters.invocations);
+  EXPECT_EQ(counters.deadline_rejections, 1u);
+  EXPECT_EQ(platform.warm_pool().available(spec.stages[0]), 1u)
+      << "the healthy sandbox still returns to the pool";
 }
 
 TEST(WorkflowRegistryConcurrencyTest, ConcurrentAddAndFindUnderSharedLock) {

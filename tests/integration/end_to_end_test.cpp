@@ -8,6 +8,7 @@
 #include "faas/colocation.hpp"
 #include "faas/platform.hpp"
 #include "sim/cost_model.hpp"
+#include "support/sanitizers.hpp"
 #include "trace/synthetic.hpp"
 #include "workloads/array_filter.hpp"
 #include "workloads/firewall.hpp"
@@ -102,6 +103,7 @@ TEST_F(EndToEndTest, InitFractionOrderingMatchesFigure1) {
 }
 
 TEST_F(EndToEndTest, HorseBeatsWarmInitTimeOverManyTriggers) {
+  HORSE_SKIP_TIMING_UNDER_SANITIZERS();
   ASSERT_TRUE(platform_.provision(nat_, 2).is_ok());
   util::Nanos warm_best = std::numeric_limits<util::Nanos>::max();
   util::Nanos horse_best = std::numeric_limits<util::Nanos>::max();
