@@ -2,19 +2,17 @@
 // optimisation buys on the SAME workload, and gate the combined result.
 //
 // Arms (HorseConfig toggles; everything else identical):
-//   scalar     — cycle_timing off, branchless_walk off, epoch_reclaim off
-//                (the pre-PR-10 hot path: chrono stage timing, per-vCPU
-//                std::upper_bound walks, inline frees in untrack)
+//   scalar     — cycle_timing off, branchless_walk off (chrono stage
+//                timing, per-vCPU std::upper_bound walks)
 //   cycles     — rdtsc stage timing only
 //   branchless — branchless/SIMD credit walk + single-lock merge only
-//   epoch      — epoch-deferred reclamation only
 //   all        — everything on (the shipped default)
 //
 // Workload: two 32-vCPU uLL sandboxes pinned to ONE reserved queue with
 // interleaved credits, so every measured resume merges 32 vCPUs into a
-// queue already holding 32 in 32 separate runs — the credit walk, the
-// splice set and the retire path dominate the fixed prologue. Samples
-// are 16-resume batch means (see kBatchReps). Gates (exit code 1):
+// queue already holding 32 in 32 separate runs — the credit walk and
+// the splice set dominate the fixed prologue. Samples are 16-resume
+// batch means (see kBatchReps). Gates (exit code 1):
 //   * p99(all) must undercut p99(scalar) by >= 20% — downgraded to a
 //     reported-but-non-fatal check with --advisory-perf-gate (shared CI
 //     runners; see the hotpath-smoke job)
@@ -51,15 +49,13 @@ struct Arm {
   const char* name;
   bool cycle_timing;
   bool branchless_walk;
-  bool epoch_reclaim;
 };
 
 const std::vector<Arm> kArms = {
-    {"scalar", false, false, false},
-    {"cycles", true, false, false},
-    {"branchless", false, true, false},
-    {"epoch", false, false, true},
-    {"all", true, true, true},
+    {"scalar", false, false},
+    {"cycles", true, false},
+    {"branchless", false, true},
+    {"all", true, true},
 };
 
 struct ArmResult {
@@ -76,7 +72,6 @@ ArmResult run_arm(const Arm& arm, int reps, bool strict_alloc) {
   config.num_ull_runqueues = 1;  // both sandboxes share one queue
   config.cycle_timing = arm.cycle_timing;
   config.branchless_walk = arm.branchless_walk;
-  config.epoch_reclaim = arm.epoch_reclaim;
   // The timed resume runs the engine's sorted-walk merge (no 𝒫²𝒮ℳ): that
   // walk is the path the branchless/single-lock rewrite transforms, and
   // it is also the kHorse degradation rung every resume must survive.

@@ -8,7 +8,8 @@ namespace horse::core {
 
 struct HorseConfig {
   /// Number of reserved ull_runqueues (§4.1.3: one by default, more "in
-  /// the case of a high frequency of uLL workload triggers").
+  /// the case of a high frequency of uLL workload triggers"). Fixed for
+  /// the lifetime of the UllRunQueueManager built from it.
   std::uint32_t num_ull_runqueues = 1;
 
   // --- resume hot-path tuning (E22 ablation arms flip these off) ---------
@@ -22,10 +23,6 @@ struct HorseConfig {
   /// vanilla sorted-walk fallback (RunQueue::merge_sorted) instead of the
   /// per-vCPU insert_sorted loop.
   bool branchless_walk = true;
-  /// Retire a destroyed sandbox's 𝒫²𝒮ℳ node to the per-queue epoch
-  /// reclaimer (freed later in maintenance) instead of freeing it inline
-  /// in UllRunQueueManager::release().
-  bool epoch_reclaim = true;
 
   void validate() const {
     if (num_ull_runqueues == 0) {

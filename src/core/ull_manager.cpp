@@ -9,32 +9,35 @@
 namespace horse::core {
 
 namespace {
-/// Registry and reserved-set mutation happens under this metered guard.
+/// Registry mutation and engine binding happen under this metered guard.
 using ManagerLock = metrics::MeteredLock<std::mutex>;
 constexpr std::uint32_t kUnassigned = vmm::UllSlot::kUnassigned;
 constexpr sched::CpuId kUntracked = TrackedNode::kUntracked;
+
+std::vector<sched::CpuId> reserve_top_cpus(sched::CpuTopology& topology,
+                                           const HorseConfig& config) {
+  config.validate();
+  if (config.num_ull_runqueues >= topology.num_cpus()) {
+    throw std::invalid_argument("UllRunQueueManager: cannot reserve every CPU");
+  }
+  std::vector<sched::CpuId> cpus;
+  const auto n = static_cast<sched::CpuId>(topology.num_cpus());
+  for (sched::CpuId i = 0; i < config.num_ull_runqueues; ++i) {
+    const sched::CpuId cpu = n - 1 - i;
+    topology.reserve_for_ull(cpu);
+    cpus.push_back(cpu);
+  }
+  return cpus;
+}
 }  // namespace
 
 UllRunQueueManager::UllRunQueueManager(sched::CpuTopology& topology,
                                        const HorseConfig& config)
     : topology_(topology),
-      epoch_reclaim_(config.epoch_reclaim),
-      branchless_walk_(config.branchless_walk) {
-  config.validate();
-  if (config.num_ull_runqueues >= topology.num_cpus() ||
-      config.num_ull_runqueues > kMaxQueues) {
-    throw std::invalid_argument(
-        "UllRunQueueManager: cannot reserve every CPU (or > kMaxQueues)");
-  }
-  const auto n = static_cast<sched::CpuId>(topology.num_cpus());
-  for (sched::CpuId i = 0; i < config.num_ull_runqueues; ++i) {
-    const sched::CpuId cpu = n - 1 - i;
-    topology.reserve_for_ull(cpu);
-    reserved_[i].store(cpu, std::memory_order_relaxed);
-    ull_cpus_.push_back(cpu);
-  }
-  num_reserved_.store(ull_cpus_.size());
-}
+      branchless_walk_(config.branchless_walk),
+      ull_cpus_(reserve_top_cpus(topology, config)),
+      occupancy_(ull_cpus_.size()),
+      engines_(ull_cpus_.size()) {}
 
 UllRunQueueManager::~UllRunQueueManager() {
   // Live nodes are owned by the registry; retired ones by the queue
@@ -62,28 +65,18 @@ sched::CpuId UllRunQueueManager::assign(vmm::Sandbox& sandbox) {
   // Re-assign without an intervening untrack releases the old slot first,
   // so the counters always sum to the number of assigned sandboxes.
   release_slot(slot);
-  while (true) {
-    const std::size_t n = num_reserved_.load();
-    std::size_t best = 0;
-    std::size_t best_count = occupancy_[0].load(std::memory_order_relaxed);
-    for (std::size_t i = 1; i < n; ++i) {
-      const std::size_t count = occupancy_[i].load(std::memory_order_relaxed);
-      if (count < best_count) {
-        best = i;
-        best_count = count;
-      }
+  std::size_t best = 0;
+  std::size_t best_count = occupancy_[0].load(std::memory_order_relaxed);
+  for (std::size_t i = 1; i < occupancy_.size(); ++i) {
+    const std::size_t count = occupancy_[i].load(std::memory_order_relaxed);
+    if (count < best_count) {
+      best = i;
+      best_count = count;
     }
-    occupancy_[best].value.fetch_add(1);
-    // shrink() hides its victim before it re-checks the victim's counter
-    // (both sides sequentially consistent): either it sees this increment
-    // and keeps the queue, or this re-check sees the shorter set and the
-    // choice is made again.
-    if (best < num_reserved_.load()) {
-      slot.queue = static_cast<std::uint32_t>(best);
-      return reserved_[best].load(std::memory_order_relaxed);
-    }
-    occupancy_[best].value.fetch_sub(1);
   }
+  occupancy_[best].value.fetch_add(1);
+  slot.queue = static_cast<std::uint32_t>(best);
+  return ull_cpus_[best];
 }
 
 util::Expected<sched::CpuId> UllRunQueueManager::assignment(
@@ -93,7 +86,7 @@ util::Expected<sched::CpuId> UllRunQueueManager::assignment(
     return util::Status{util::StatusCode::kNotFound,
                         "ull: sandbox has no queue assignment"};
   }
-  return reserved_[queue].load(std::memory_order_relaxed);
+  return ull_cpus_[queue];
 }
 
 util::Status UllRunQueueManager::track(vmm::Sandbox& sandbox) {
@@ -106,7 +99,7 @@ util::Status UllRunQueueManager::track(vmm::Sandbox& sandbox) {
     return {util::StatusCode::kFailedPrecondition,
             "ull: sandbox has no parked vCPUs (not paused?)"};
   }
-  const sched::CpuId cpu = reserved_[slot.queue].load(std::memory_order_relaxed);
+  const sched::CpuId cpu = ull_cpus_[slot.queue];
   TrackedNode* node = slot.node;
   if (node == nullptr) {
     // Node birth: the sandbox's one allocation, made visible to the
@@ -182,61 +175,7 @@ void UllRunQueueManager::release(vmm::Sandbox& sandbox) {
   }
   // A resume that pinned this queue's epoch in lookup() before this
   // retirement keeps the node alive until it unpins.
-  if (epoch_reclaim_) {
-    topology_.queue(node->home).epoch().retire(&node->retire);
-  } else {
-    delete node;
-  }
-}
-
-template <typename Visit>
-void UllRunQueueManager::for_each_tracked_locked(Visit&& visit) const {
-  for (TrackedNode& node : nodes_) {
-    const sched::CpuId cpu = node.tracked_on.load(std::memory_order_relaxed);
-    if (cpu == kUntracked) {
-      continue;
-    }
-    sched::RunQueue& queue = topology_.queue(cpu);
-    util::LockGuard guard(queue.lock());
-    // A resume or re-pause may have moved the node since the load above.
-    if (node.tracked_on.load(std::memory_order_relaxed) == cpu) {
-      visit(node, queue);
-    }
-  }
-}
-
-std::size_t UllRunQueueManager::refresh() {
-  std::size_t refreshed = 0;
-  {
-    ManagerLock lock(mutex_, meter_);
-    for_each_tracked_locked([&](TrackedNode& node, sched::RunQueue& queue) {
-      P2smIndex& index = node.index;
-      if (index.fresh(queue) && !index.poisoned()) {
-        return;
-      }
-      ++refreshed;
-      // Incremental first: replay the queue's mutation journal in
-      // O(runs + delta). This is what kills the rebuild storm — N
-      // co-resident indexes used to pay O(N·(|A|+|B|)) per queue mutation.
-      if (index.built() && !index.poisoned() &&
-          index.repair(node.sandbox->merge_vcpus(), queue).is_ok()) {
-        return;
-      }
-      // Journal gap, poisoning, or a failed audit: the O(|A|+|B|) fallback
-      // cures every repair failure mode.
-      index.rebuild(node.sandbox->merge_vcpus(), queue);
-    });
-  }
-  // The refresh sweep doubles as the reclaim pump for every reserved
-  // queue (refresh runs from ticks/deferred-refresh, never from the
-  // timed resume window).
-  const std::size_t n = num_reserved_.load();
-  for (std::size_t i = 0; i < n; ++i) {
-    (void)topology_.queue(reserved_[i].load(std::memory_order_relaxed))
-        .epoch()
-        .try_reclaim();
-  }
-  return refreshed;
+  topology_.queue(node->home).epoch().retire(&node->retire);
 }
 
 P2smIndex* UllRunQueueManager::index_of(
@@ -258,8 +197,7 @@ util::Expected<UllRunQueueManager::LookupResult> UllRunQueueManager::lookup(
   // Pin before the node is dereferenced. Nodes are retired only by
   // release(), to the queue they were last built against — the assigned
   // queue pinned here. Pin/unpin are two lock-free atomics.
-  if (epoch_pin != nullptr && epoch_reclaim_ &&
-      sandbox.ull_slot().node != nullptr) {
+  if (epoch_pin != nullptr && sandbox.ull_slot().node != nullptr) {
     epoch_pin->emplace(topology_.queue(*cpu).epoch());
   }
   return LookupResult{*cpu, index_of(sandbox)};
@@ -306,71 +244,33 @@ void UllRunQueueManager::unbind_engine(const HorseResumeEngine* engine) {
 HorseResumeEngine* UllRunQueueManager::engine_for_sandbox(
     const vmm::Sandbox& sandbox) const noexcept {
   const std::uint32_t queue = sandbox.ull_slot().queue;
-  HorseResumeEngine* engine =
-      queue != kUnassigned ? engines_[queue].load(std::memory_order_acquire)
-                           : nullptr;
-  // Unassigned sandbox, or a queue grown after engine construction: any
-  // bound engine is correct — its step-② lock is wider than necessary,
-  // never narrower.
-  for (std::size_t i = 0; engine == nullptr && i < num_reserved_.load(); ++i) {
-    engine = engines_[i].load(std::memory_order_acquire);
+  if (queue != kUnassigned) {
+    return engines_[queue].load(std::memory_order_acquire);
   }
-  return engine;
-}
-
-util::Status UllRunQueueManager::grow() {
-  ManagerLock lock(mutex_, meter_);
-  // Reserved queues are allocated downward from the top CPU; the next
-  // candidate is just below the last one we hold.
-  const sched::CpuId candidate = ull_cpus_.back() - 1;
-  if (ull_cpus_.size() + 1 >= topology_.num_cpus() ||
-      ull_cpus_.size() == kMaxQueues || candidate == 0 ||
-      topology_.is_reserved(candidate)) {
-    return {util::StatusCode::kResourceExhausted,
-            "ull: cannot reserve another queue"};
+  // Unassigned sandbox: any bound engine is correct — its step-② lock is
+  // wider than necessary, never narrower.
+  for (const auto& bound : engines_) {
+    if (HorseResumeEngine* engine = bound.load(std::memory_order_acquire)) {
+      return engine;
+    }
   }
-  topology_.reserve_for_ull(candidate);
-  reserved_[ull_cpus_.size()].store(candidate, std::memory_order_relaxed);
-  ull_cpus_.push_back(candidate);
-  num_reserved_.store(ull_cpus_.size());  // publishes the entry above
-  return util::Status::ok();
-}
-
-util::Status UllRunQueueManager::shrink() {
-  ManagerLock lock(mutex_, meter_);
-  if (ull_cpus_.size() <= 1) {
-    return {util::StatusCode::kFailedPrecondition,
-            "ull: at least one ull_runqueue must remain"};
-  }
-  const std::size_t victim = ull_cpus_.size() - 1;
-  const util::Status busy{
-      util::StatusCode::kFailedPrecondition,
-      "ull: paused sandboxes still assigned to the victim queue"};
-  if (occupancy_[victim].load() != 0) {
-    return busy;
-  }
-  if (!topology_.queue(ull_cpus_.back()).empty()) {
-    return {util::StatusCode::kFailedPrecondition,
-            "ull: victim queue still has runnable uLL vCPUs"};
-  }
-  // Hide the victim from assign(), then re-check: an assign that chose it
-  // before the hide shows up in its counter now.
-  num_reserved_.store(victim);
-  if (occupancy_[victim].load() != 0) {
-    num_reserved_.store(victim + 1);
-    return busy;
-  }
-  topology_.unreserve(ull_cpus_.back());
-  ull_cpus_.pop_back();
-  return util::Status::ok();
+  return nullptr;
 }
 
 std::size_t UllRunQueueManager::total_index_bytes() const {
   ManagerLock lock(mutex_, meter_);
   std::size_t total = 0;
-  for_each_tracked_locked([&](const TrackedNode& node, sched::RunQueue&) {
-    total += node.index.memory_bytes() + sizeof(TrackedNode);
-  });
+  for (const TrackedNode& node : nodes_) {
+    const sched::CpuId cpu = node.tracked_on.load(std::memory_order_relaxed);
+    if (cpu == kUntracked) {
+      continue;
+    }
+    util::LockGuard guard(topology_.queue(cpu).lock());
+    // A resume or re-pause may have moved the node since the load above.
+    if (node.tracked_on.load(std::memory_order_relaxed) == cpu) {
+      total += node.index.memory_bytes() + sizeof(TrackedNode);
+    }
+  }
   return total;
 }
 

@@ -2,6 +2,8 @@
 //
 // HORSE confines uLL sandboxes to a small set of reserved run queues so
 // that 𝒫²𝒮ℳ's precomputed structures only have to track those queues.
+// The set is fixed at construction (`HorseConfig::num_ull_runqueues`,
+// "one (or a few)" ull_runqueues as a deployment setting).
 // Responsibilities:
 //   * reserve the queues in the topology (general placement skips them),
 //   * assign each pausing uLL sandbox to the reserved queue with the
@@ -9,9 +11,9 @@
 //     paused sandboxes already associated with each ull_runqueue to
 //     perform load balancing"), read from per-queue atomic occupancy
 //     counters — no lock, no scan of the tracked set,
-//   * own one P2smIndex per paused sandbox and keep it fresh whenever its
-//     target queue changes structurally ("the updates are performed each
-//     time ull_runqueue is updated"),
+//   * own one P2smIndex per paused sandbox, built at pause time; the
+//     resuming engine freshens a stale index in place in step ④, so no
+//     index is maintained while its sandbox stays paused,
 //   * map each reserved queue to the HorseResumeEngine bound to it, so
 //     the sharded control plane can route a resume to the engine whose
 //     step-② lock serialises exactly that queue and nothing else.
@@ -21,23 +23,23 @@
 // warm pause/resume cycle (assign, track, lookup, untrack, engine routing)
 // takes no manager lock and touches no map. A node is allocated once per
 // sandbox lifetime, at its first tracked pause, rebuilt in place on every
-// later pause, and freed only when the sandbox is destroyed (release()).
+// later pause, and retired to its queue's epoch reclaimer only when the
+// sandbox is destroyed (release()).
 //
 // Thread-safety: a node's index and its `tracked_on` queue are written
 // only under that queue's lock (or by the sandbox's single owner while the
 // node is untracked), so step ④'s splice and every reporting read of the
-// index serialise on the queue lock. The manager mutex guards only what
-// is off the warm path: grow/shrink, engine bind/unbind, node birth and
-// death, and the node registry the reporting calls (snapshot,
-// tracked_count, total_index_bytes, refresh) walk. grow/shrink publish
-// the reserved set in fixed-capacity atomic storage, so a lock-free
-// assign() never reads a reallocating vector.
+// index serialise on the queue lock. The reserved set and the per-queue
+// counter and engine arrays are sized in the constructor and never
+// reshaped, so lock-free readers index them directly. The manager mutex
+// guards only engine bind/unbind, node birth and death, and the node
+// registry the reporting calls (snapshot, tracked_count,
+// total_index_bytes) walk.
 //
 // Lock hierarchy (never acquire right-to-left):
 //   shard mutex → engine resume_lock_ → manager mutex → queue lock.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -88,15 +90,11 @@ struct TrackedNode {
 
 class UllRunQueueManager {
  public:
-  /// Capacity of the fixed reserved-queue storage grow() publishes into.
-  static constexpr std::size_t kMaxQueues = 64;
-
   /// Reserves `config.num_ull_runqueues` CPUs, starting from the highest
   /// CPU id (leaving low ids for general work, as pinned-core setups do).
   UllRunQueueManager(sched::CpuTopology& topology, const HorseConfig& config);
 
-  /// The reserved CPUs, in reservation order (grow/shrink mutate it; read
-  /// it from the thread that scales the manager).
+  /// The reserved CPUs, in reservation order.
   [[nodiscard]] const std::vector<sched::CpuId>& ull_cpus() const noexcept {
     return ull_cpus_;
   }
@@ -114,10 +112,10 @@ class UllRunQueueManager {
 
   /// assignment() + index_of() for the resume fast path, lock-free.
   /// `index` is nullptr when the sandbox is assigned but not tracked (e.g.
-  /// 𝒫²𝒮ℳ disabled). With `epoch_pin` and epoch reclamation on, the
-  /// assigned queue's epoch is pinned before the node is read, so a
-  /// release() that retires the node after this point cannot have it
-  /// freed until the caller drops the guard.
+  /// 𝒫²𝒮ℳ disabled). With `epoch_pin`, the assigned queue's epoch is
+  /// pinned before the node is read, so a release() that retires the node
+  /// after this point cannot have it freed until the caller drops the
+  /// guard.
   struct LookupResult {
     sched::CpuId cpu = 0;
     P2smIndex* index = nullptr;
@@ -141,20 +139,9 @@ class UllRunQueueManager {
   void untrack_locked(vmm::Sandbox& sandbox) noexcept;
 
   /// Destroy-time teardown: release the sandbox's slot, unlink its node
-  /// from the registry and retire it to its queue's epoch reclaimer (or
-  /// free it inline with `HorseConfig::epoch_reclaim` off). Call it before
-  /// the sandbox is destroyed.
+  /// from the registry and retire it to its queue's epoch reclaimer. Call
+  /// it before the sandbox is destroyed.
   void release(vmm::Sandbox& sandbox);
-
-  /// Bring every index whose target queue changed since it was built (or
-  /// that is poisoned) back to fresh, taking each target queue's lock
-  /// around the work. Tries the O(runs + delta) journal repair() first and
-  /// falls back to the O(|A|+|B|) rebuild() only on journal overflow,
-  /// poisoning, or a failed audit — per-index outcomes land in P2smStats
-  /// (repairs / rebuilds / repair_fallbacks). Callers run it from
-  /// scheduler ticks / maintenance sweeps.
-  /// Returns the number of indexes made fresh (repaired + rebuilt).
-  std::size_t refresh();
 
   /// The index of a paused, tracked sandbox; nullptr otherwise.
   [[nodiscard]] P2smIndex* index_of(const vmm::Sandbox& sandbox) const noexcept;
@@ -189,48 +176,27 @@ class UllRunQueueManager {
   void unbind_engine(const HorseResumeEngine* engine);
 
   /// The engine owning the queue a paused sandbox was assigned to, read
-  /// from a fixed array without a lock. Falls back to the first bound
-  /// engine when that queue has none (e.g. a queue added by grow()) or the
-  /// sandbox is unassigned; nullptr when no engine is bound at all.
+  /// without a lock. An unassigned sandbox gets the first bound engine.
+  /// nullptr when no engine is bound to the queue (or, for an unassigned
+  /// sandbox, to any queue).
   [[nodiscard]] HorseResumeEngine* engine_for_sandbox(
       const vmm::Sandbox& sandbox) const noexcept;
-
-  // --- adaptive scaling (§4.1.3: "In the case of a high frequency of uLL
-  // workload triggers, we can increase the number of ull_runqueue") ------
-
-  /// Reserve one more CPU as a ull_runqueue. Fails with
-  /// kResourceExhausted when growing would leave no general CPU.
-  util::Status grow();
-
-  /// Release the most recently reserved queue back to general duty.
-  /// Fails when only one queue remains or when paused sandboxes are
-  /// still assigned to the victim queue (their indexes target it).
-  util::Status shrink();
 
  private:
   /// Release `slot`'s occupancy count and mark it unassigned.
   void release_slot(vmm::UllSlot& slot) noexcept;
 
-  /// Calls `visit(node, queue)` for every node tracked on a queue, holding
-  /// that queue's lock. Caller holds the manager mutex.
-  template <typename Visit>
-  void for_each_tracked_locked(Visit&& visit) const;
-
   sched::CpuTopology& topology_;
   mutable std::mutex mutex_;
   mutable metrics::ContentionMeter meter_;
-  const bool epoch_reclaim_;
   const bool branchless_walk_;
-  /// Reserved CPUs (manager mutex), mirrored for lock-free readers into
-  /// `reserved_` / `num_reserved_`; grow() stores the entry before it
-  /// publishes the count.
-  std::vector<sched::CpuId> ull_cpus_;
-  std::array<std::atomic<sched::CpuId>, kMaxQueues> reserved_{};
-  std::atomic<std::size_t> num_reserved_{0};
+  /// Reserved CPUs; this and the two per-position arrays below keep their
+  /// shape from the constructor on.
+  const std::vector<sched::CpuId> ull_cpus_;
   /// Paused-sandbox count per reserved position, one cache line each so
   /// the two reserved queues' pause/resume traffic never false-shares.
-  std::array<util::PaddedAtomic<std::size_t>, kMaxQueues> occupancy_{};
-  std::array<std::atomic<HorseResumeEngine*>, kMaxQueues> engines_{};
+  std::vector<util::PaddedAtomic<std::size_t>> occupancy_;
+  std::vector<std::atomic<HorseResumeEngine*>> engines_;
   /// Every live node (manager mutex).
   mutable util::IntrusiveList<TrackedNode, &TrackedNode::registry> nodes_;
 };

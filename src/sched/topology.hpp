@@ -7,16 +7,11 @@
 //
 // Thread-safety: the queue array is immutable after construction and each
 // RunQueue carries its own locks, so any number of threads may operate on
-// (distinct or shared) queues concurrently. The reserved flags are read
-// on every general placement (least_loaded_general) from concurrently
-// invoking control-plane shards while the adaptive scaler may be flipping
-// them (grow/shrink); they are accessed through std::atomic_ref so a flip
-// is a benign race — a placement decided just before a reserve lands on a
-// queue that was general when the decision was made, exactly as in the
-// kernel, where placement and reservation are not globally ordered.
+// (distinct or shared) queues concurrently. The reserved flags are set
+// while the owner is being set up (the UllRunQueueManager's constructor,
+// before any thread places a vCPU) and only read after that.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
@@ -37,8 +32,7 @@ class CpuTopology {
       queues_.push_back(
           std::make_unique<RunQueue>(static_cast<CpuId>(cpu), pelt));
     }
-    // char (not vector<bool>) so each flag is addressable for atomic_ref.
-    reserved_.resize(num_cpus, 0);
+    reserved_.resize(num_cpus, false);
   }
 
   [[nodiscard]] std::size_t num_cpus() const noexcept { return queues_.size(); }
@@ -50,19 +44,9 @@ class CpuTopology {
     return *queues_.at(cpu);
   }
 
-  /// Mark a CPU's queue as a reserved ull_runqueue.
-  void reserve_for_ull(CpuId cpu) {
-    std::atomic_ref(reserved_.at(cpu)).store(1, std::memory_order_release);
-  }
-
-  /// Return a reserved queue to the general pool (adaptive scaling).
-  void unreserve(CpuId cpu) {
-    std::atomic_ref(reserved_.at(cpu)).store(0, std::memory_order_release);
-  }
-  [[nodiscard]] bool is_reserved(CpuId cpu) const {
-    return std::atomic_ref(reserved_.at(cpu))
-               .load(std::memory_order_acquire) != 0;
-  }
+  /// Mark a CPU's queue as a reserved ull_runqueue (setup only).
+  void reserve_for_ull(CpuId cpu) { reserved_.at(cpu) = true; }
+  [[nodiscard]] bool is_reserved(CpuId cpu) const { return reserved_.at(cpu); }
 
   [[nodiscard]] std::vector<CpuId> reserved_cpus() const {
     std::vector<CpuId> out;
@@ -99,8 +83,7 @@ class CpuTopology {
 
  private:
   std::vector<std::unique_ptr<RunQueue>> queues_;
-  // 0/1 flags accessed via std::atomic_ref (see file comment).
-  mutable std::vector<char> reserved_;
+  std::vector<bool> reserved_;
 };
 
 }  // namespace horse::sched

@@ -168,10 +168,7 @@ TEST_F(HorseResumeTest, MultiplePausedSandboxesResumeIndependently) {
   ASSERT_TRUE(engine_.pause(*s1).is_ok());
   ASSERT_TRUE(engine_.pause(*s2).is_ok());
 
-  // Resuming s1 mutates the ull queue; s2's index goes stale and must be
-  // refreshed (or the resume freshens it in place).
   ASSERT_TRUE(engine_.resume(*s1).is_ok());
-  EXPECT_EQ(engine_.ull_manager().refresh(), 1u);
   ASSERT_TRUE(engine_.resume(*s2).is_ok());
   EXPECT_EQ(queued_on(7), 5u);
   EXPECT_TRUE(topology_.queue(7).is_sorted());
@@ -186,13 +183,44 @@ TEST_F(HorseResumeTest, StaleIndexFallbackRebuildsInline) {
   ASSERT_TRUE(engine_.start(*s2).is_ok());
   ASSERT_TRUE(engine_.pause(*s1).is_ok());
   ASSERT_TRUE(engine_.pause(*s2).is_ok());
+  // Resuming s1 mutates the ull queue, so s2's index is stale; s2's own
+  // resume freshens it in place and still takes the fast path.
   ASSERT_TRUE(engine_.resume(*s1).is_ok());
-  // No refresh() call: s2's index is stale, resume must still succeed.
   ASSERT_TRUE(engine_.resume(*s2).is_ok());
   EXPECT_EQ(queued_on(7), 4u);
   EXPECT_TRUE(topology_.queue(7).is_sorted());
+  const ResumeDegradationStats stats = engine_.degradation_stats();
+  EXPECT_EQ(stats.fallback_merges, 0u);
+  EXPECT_EQ(stats.in_place_repairs + stats.in_place_rebuilds, 1u);
   ASSERT_TRUE(engine_.destroy(*s1).is_ok());
   ASSERT_TRUE(engine_.destroy(*s2).is_ok());
+}
+
+TEST_F(HorseResumeTest, TwoReservedQueuesKeepUllIsolation) {
+  // Two reserved queues set at construction: sandboxes balanced across
+  // both resume onto them and nowhere else.
+  sched::CpuTopology topology(8);
+  HorseConfig config;
+  config.num_ull_runqueues = 2;
+  HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker(), config);
+
+  std::vector<std::unique_ptr<vmm::Sandbox>> sandboxes;
+  for (int i = 0; i < 4; ++i) {
+    auto sandbox = make_sandbox(2, true);
+    ASSERT_TRUE(engine.start(*sandbox).is_ok());
+    ASSERT_TRUE(engine.pause(*sandbox).is_ok());
+    sandboxes.push_back(std::move(sandbox));
+  }
+  for (auto& sandbox : sandboxes) {
+    ASSERT_TRUE(engine.resume(*sandbox).is_ok());
+  }
+  // All vCPUs ended on the two reserved queues, both sorted.
+  EXPECT_EQ(topology.queue(7).size() + topology.queue(6).size(), 8u);
+  EXPECT_TRUE(topology.queue(7).is_sorted());
+  EXPECT_TRUE(topology.queue(6).is_sorted());
+  for (auto& sandbox : sandboxes) {
+    ASSERT_TRUE(engine.destroy(*sandbox).is_ok());
+  }
 }
 
 // The stale-index scenario behind in-place freshening: a target and two

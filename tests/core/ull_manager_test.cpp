@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "core/horse_resume.hpp"
 #include "util/epoch.hpp"
 #include "vmm/resume_engine.hpp"
 
@@ -21,13 +22,17 @@ class UllManagerTest : public ::testing::Test {
     return cfg;
   }
 
-  std::unique_ptr<vmm::Sandbox> paused_sandbox(std::uint32_t vcpus) {
+  std::unique_ptr<vmm::Sandbox> make_sandbox(std::uint32_t vcpus) {
     vmm::SandboxConfig cfg;
     cfg.name = "ull";
     cfg.num_vcpus = vcpus;
     cfg.memory_mb = 1;
     cfg.ull = true;
-    auto sandbox = std::make_unique<vmm::Sandbox>(next_id_++, cfg);
+    return std::make_unique<vmm::Sandbox>(next_id_++, cfg);
+  }
+
+  std::unique_ptr<vmm::Sandbox> paused_sandbox(std::uint32_t vcpus) {
+    auto sandbox = make_sandbox(vcpus);
     vmm::ResumeEngine engine(topology_, vmm::VmmProfile::firecracker());
     (void)engine.start(*sandbox);
     (void)engine.pause(*sandbox);
@@ -108,25 +113,37 @@ TEST_F(UllManagerTest, TrackBuildsFreshIndex) {
 }
 
 TEST_F(UllManagerTest, RefreshRebuildsStaleIndexes) {
+  // Nothing freshens a paused sandbox's index behind its back: the resume
+  // that consumes it does, in step ④, and still splices on the fast path.
   UllRunQueueManager manager(topology_, config(1));
-  auto sandbox = paused_sandbox(2);
-  (void)manager.assign(*sandbox);
-  ASSERT_TRUE(manager.track(*sandbox).is_ok());
-  EXPECT_EQ(manager.refresh(), 0u);  // fresh right after track
+  HorseResumeEngine engine(topology_, vmm::VmmProfile::firecracker(), manager,
+                           7);
+  auto sandbox = make_sandbox(2);
+  ASSERT_TRUE(engine.start(*sandbox).is_ok());
+  ASSERT_TRUE(engine.pause(*sandbox).is_ok());
+  const P2smIndex* index = manager.index_of(*sandbox);
+  ASSERT_NE(index, nullptr);
+  EXPECT_TRUE(index->fresh(topology_.queue(7)));  // fresh right after track
 
-  // Mutate the ull queue: index goes stale, refresh rebuilds it.
+  // A foreign mutation of the ull queue leaves the index stale.
   sched::Vcpu intruder;
   intruder.credit = 5;
   {
     util::LockGuard guard(topology_.queue(7).lock());
     topology_.queue(7).insert_sorted(intruder);
   }
-  EXPECT_EQ(manager.refresh(), 1u);
-  EXPECT_TRUE(manager.index_of(*sandbox)->fresh(topology_.queue(7)));
+  EXPECT_FALSE(index->fresh(topology_.queue(7)));
+  ASSERT_TRUE(engine.resume(*sandbox).is_ok());
+  const ResumeDegradationStats stats = engine.degradation_stats();
+  EXPECT_EQ(stats.fallback_merges, 0u);
+  EXPECT_EQ(stats.in_place_repairs + stats.in_place_rebuilds, 1u);
+  EXPECT_EQ(topology_.queue(7).size(), 3u);
+  EXPECT_TRUE(topology_.queue(7).is_sorted());
   {
     util::LockGuard guard(topology_.queue(7).lock());
     topology_.queue(7).remove(intruder);
   }
+  ASSERT_TRUE(engine.destroy(*sandbox).is_ok());
 }
 
 TEST_F(UllManagerTest, UntrackDropsState) {
@@ -145,9 +162,7 @@ TEST_F(UllManagerTest, LookupPinProtectsIndexAcrossUntrackAndReclaim) {
   // is retired only when its sandbox is destroyed (release()), and a
   // reader pinned before that retirement must keep it alive across any
   // number of maintenance reclaim pumps.
-  HorseConfig cfg = config(1);
-  cfg.epoch_reclaim = true;
-  UllRunQueueManager manager(topology_, cfg);
+  UllRunQueueManager manager(topology_, config(1));
   auto sandbox = paused_sandbox(2);
   (void)manager.assign(*sandbox);
   ASSERT_TRUE(manager.track(*sandbox).is_ok());
@@ -177,20 +192,6 @@ TEST_F(UllManagerTest, LookupPinProtectsIndexAcrossUntrackAndReclaim) {
   }
   EXPECT_EQ(freed, 1u);
   EXPECT_EQ(epoch.pending(), 0u);
-}
-
-TEST_F(UllManagerTest, LookupWithoutEpochReclaimLeavesPinEmpty) {
-  HorseConfig cfg = config(1);
-  cfg.epoch_reclaim = false;
-  UllRunQueueManager manager(topology_, cfg);
-  auto sandbox = paused_sandbox(1);
-  (void)manager.assign(*sandbox);
-  ASSERT_TRUE(manager.track(*sandbox).is_ok());
-  std::optional<util::EpochReclaimer::ReadGuard> pin;
-  const auto looked = manager.lookup(*sandbox, &pin);
-  ASSERT_TRUE(looked.has_value());
-  EXPECT_NE((*looked).index, nullptr);
-  EXPECT_FALSE(pin.has_value());
 }
 
 TEST_F(UllManagerTest, MemoryAccountingGrowsWithSandboxes) {

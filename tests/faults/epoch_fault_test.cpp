@@ -89,7 +89,6 @@ TEST_F(EpochFaultTest, ResumePathSurvivesAPermanentStall) {
   sched::CpuTopology topology(4);
   HorseConfig config;
   config.num_ull_runqueues = 1;
-  config.epoch_reclaim = true;
   HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker(), config,
                            HorseFeatures::all());
   vmm::SandboxConfig sandbox_config;

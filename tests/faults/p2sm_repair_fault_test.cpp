@@ -1,17 +1,16 @@
 // Fault site `p2sm.repair.corrupt_delta`: a corrupt journal entry read
 // during delta repair must poison the index (the precomputed structures
-// can no longer be trusted) and degrade the maintenance path to the full
-// rebuild — never splice from a repaired-but-wrong index.
+// can no longer be trusted) and degrade step ④'s in-place freshening to
+// the full rebuild — never splice from a repaired-but-wrong index.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "core/horse_resume.hpp"
 #include "core/p2sm.hpp"
-#include "core/ull_manager.hpp"
 #include "sched/run_queue.hpp"
 #include "util/fault_injection.hpp"
-#include "vmm/resume_engine.hpp"
 
 namespace horse::core {
 namespace {
@@ -76,10 +75,12 @@ TEST_F(P2smRepairFaultTest, CorruptDeltaPoisonsIndexAndRebuildCures) {
 }
 
 TEST_F(P2smRepairFaultTest, ManagerRefreshDegradesToRebuildOnCorruptDelta) {
+  // Step ④ freshens a stale index in place: journal repair first, the
+  // rebuild rung when the repair is refused.
   sched::CpuTopology topology(8);
   HorseConfig config;
   config.num_ull_runqueues = 1;
-  UllRunQueueManager manager(topology, config);
+  HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker(), config);
 
   vmm::SandboxConfig sandbox_config;
   sandbox_config.name = "ull-fault";
@@ -87,47 +88,57 @@ TEST_F(P2smRepairFaultTest, ManagerRefreshDegradesToRebuildOnCorruptDelta) {
   sandbox_config.memory_mb = 1;
   sandbox_config.ull = true;
   vmm::Sandbox sandbox(1, sandbox_config);
-  vmm::ResumeEngine engine(topology, vmm::VmmProfile::firecracker());
   ASSERT_TRUE(engine.start(sandbox).is_ok());
   ASSERT_TRUE(engine.pause(sandbox).is_ok());
 
-  const sched::CpuId cpu = manager.assign(sandbox);
-  ASSERT_TRUE(manager.track(sandbox).is_ok());
-  const P2smIndex* index = manager.index_of(sandbox);
+  const auto cpu = engine.ull_manager().assignment(sandbox);
+  ASSERT_TRUE(cpu.has_value());
+  // The node, and so the index, lives until the sandbox is destroyed.
+  const P2smIndex* index = engine.ull_manager().index_of(sandbox);
   ASSERT_NE(index, nullptr);
   ASSERT_EQ(index->stats().rebuilds, 1u);
 
   // Foreign structural mutation on the tracked queue.
-  sched::RunQueue& queue = topology.queue(cpu);
+  sched::RunQueue& queue = topology.queue(*cpu);
   sched::Vcpu& foreign = make_vcpu(7);
   {
     util::LockGuard guard(queue.lock());
     queue.insert_sorted(foreign);
   }
 
-  // refresh() tries repair first; the injected corruption forces the
-  // rebuild rung of the ladder. The caller still sees one refreshed
-  // index — degradation is invisible upward, visible in the stats.
+  // The injected corruption forces the rebuild rung of the ladder. The
+  // resume still splices on the fast path — degradation is invisible
+  // upward, visible in the stats.
   {
     auto fault = ScopedFault::nth("p2sm.repair.corrupt_delta", 1);
-    EXPECT_EQ(manager.refresh(), 1u);
+    ASSERT_TRUE(engine.resume(sandbox).is_ok());
   }
-  EXPECT_TRUE(index->fresh(queue));
   EXPECT_FALSE(index->poisoned());
   EXPECT_EQ(index->stats().repair_fallbacks, 1u);
   EXPECT_EQ(index->stats().repairs, 0u);
   EXPECT_EQ(index->stats().rebuilds, 2u);
+  ResumeDegradationStats stats = engine.degradation_stats();
+  EXPECT_EQ(stats.in_place_rebuilds, 1u);
+  EXPECT_EQ(stats.in_place_repairs, 0u);
+  EXPECT_EQ(stats.fallback_merges, 0u);
+  EXPECT_TRUE(queue.is_sorted());
 
   // With no fault armed, the same staleness is handled by repair alone.
+  // The re-pause rebuilds the index (its third build).
+  ASSERT_TRUE(engine.pause(sandbox).is_ok());
   {
     util::LockGuard guard(queue.lock());
     queue.remove(foreign);
   }
-  EXPECT_EQ(manager.refresh(), 1u);
+  ASSERT_TRUE(engine.resume(sandbox).is_ok());
   EXPECT_EQ(index->stats().repairs, 1u);
-  EXPECT_EQ(index->stats().rebuilds, 2u);
+  EXPECT_EQ(index->stats().rebuilds, 3u);
+  stats = engine.degradation_stats();
+  EXPECT_EQ(stats.in_place_repairs, 1u);
+  EXPECT_EQ(stats.in_place_rebuilds, 1u);
+  EXPECT_EQ(stats.fallback_merges, 0u);
 
-  manager.untrack(sandbox);
+  ASSERT_TRUE(engine.destroy(sandbox).is_ok());
 }
 
 }  // namespace

@@ -21,7 +21,6 @@ enum class Op : std::uint8_t {
   kHotplug,
   kUnplug,
   kDestroy,
-  kRefresh,
   kCount,
 };
 
@@ -85,9 +84,6 @@ TEST_P(LifecycleFuzzTest, RandomOpSequencesMatchModel) {
       case Op::kHotplug: status = engine.hotplug_vcpu(sandbox); break;
       case Op::kUnplug: status = engine.unplug_vcpu(sandbox); break;
       case Op::kDestroy: status = engine.destroy(sandbox); break;
-      case Op::kRefresh:
-        (void)engine.ull_manager().refresh();
-        continue;
       case Op::kCount: continue;
     }
 
