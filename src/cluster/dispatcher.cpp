@@ -1,25 +1,23 @@
-#include "faas/dispatcher.hpp"
+#include "cluster/dispatcher.hpp"
 
 #include <stdexcept>
 #include <utility>
 
-namespace horse::faas {
+#include "cluster/host.hpp"
 
-Dispatcher::Dispatcher(Options options)
-    : executor_(std::move(options.executor)),
-      router_(std::move(options.router)),
-      source_(options.source),
-      max_sojourn_(options.max_sojourn) {
-  if (!executor_) {
-    throw std::invalid_argument("Dispatcher: executor is required");
-  }
-  const std::size_t count = options.workers == 0 ? 1 : options.workers;
+namespace horse::cluster {
+
+Dispatcher::Dispatcher(Host& host, std::size_t workers,
+                       faas::SharedTaskQueue* pull_queue,
+                       util::Nanos max_sojourn)
+    : host_(host), pull_queue_(pull_queue), max_sojourn_(max_sojourn) {
+  const std::size_t count = workers == 0 ? 1 : workers;
   workers_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     auto worker = std::make_unique<Worker>();
     Worker* raw = worker.get();
     worker->thread = std::jthread([this, raw] {
-      if (source_ != nullptr) {
+      if (pull_queue_ != nullptr) {
         pull_worker_loop(*raw);
       } else {
         push_worker_loop(*raw);
@@ -40,21 +38,19 @@ Dispatcher::~Dispatcher() {
     worker->work_available.notify_all();
   }
   // jthread members join on destruction of each Worker. Pull-mode owners
-  // must have close()d the TaskSource by now (see header contract).
+  // must have close()d the shared queue by now (see header contract).
 }
 
-void Dispatcher::submit(Submission task) {
-  if (source_ != nullptr) {
+void Dispatcher::submit(faas::Submission task) {
+  if (pull_queue_ != nullptr) {
     throw std::logic_error(
-        "Dispatcher: submit() is push-mode only; feed the TaskSource");
+        "Dispatcher: submit() is push-mode only; feed the shared queue");
   }
   if (task.enqueued_at == 0) {
     task.enqueued_at = util::monotonic_now();
   }
-  const std::size_t index =
-      router_ ? router_(task.function) % workers_.size()
-              : static_cast<std::size_t>(task.function) % workers_.size();
-  Worker& worker = *workers_[index];
+  Worker& worker = *workers_[host_.platform().shard_of(task.function) %
+                             workers_.size()];
   pending_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::lock_guard lock(worker.mutex);
@@ -72,26 +68,16 @@ void Dispatcher::push_worker_loop(Worker& worker) {
               !paused_.load(std::memory_order_acquire));
     });
     if (worker.tasks.empty()) {
-      if (worker.shutting_down) {
-        return;
-      }
-      continue;
+      return;  // shutting down with nothing queued
     }
-    Submission task = std::move(worker.tasks.front());
+    faas::Submission task = std::move(worker.tasks.front());
     worker.tasks.pop_front();
-    worker.busy = true;
     // in_flight rises before pending falls so occupancy sums never dip.
     in_flight_.fetch_add(1, std::memory_order_acq_rel);
     pending_.fetch_sub(1, std::memory_order_acq_rel);
     lock.unlock();
-
     execute_and_record(worker, std::move(task));
-
     lock.lock();
-    worker.busy = false;
-    if (worker.tasks.empty()) {
-      worker.idle.notify_all();
-    }
   }
 }
 
@@ -106,28 +92,17 @@ void Dispatcher::pull_worker_loop(Worker& worker) {
     }
     // Late binding: the pop only happens on an idle worker, so a pull
     // host by construction never accepts work without a free slot.
-    Submission task;
-    if (!source_->wait_pop(task)) {
-      return;  // source closed and drained
+    faas::Submission task;
+    if (!pull_queue_->wait_pop(task)) {
+      return;  // queue closed and drained
     }
     in_flight_.fetch_add(1, std::memory_order_acq_rel);
-    {
-      std::lock_guard lock(worker.mutex);
-      worker.busy = true;
-    }
-
     execute_and_record(worker, std::move(task));
-
-    {
-      std::lock_guard lock(worker.mutex);
-      worker.busy = false;
-    }
-    worker.idle.notify_all();
   }
 }
 
-void Dispatcher::execute_and_record(Worker& worker, Submission task) {
-  SubmissionOutcome outcome;
+void Dispatcher::execute_and_record(Worker& worker, faas::Submission task) {
+  faas::SubmissionOutcome outcome;
   outcome.function = task.function;
   outcome.mode = task.mode;
   outcome.seq = task.seq;
@@ -137,8 +112,7 @@ void Dispatcher::execute_and_record(Worker& worker, Submission task) {
   outcome.workflow = task.workflow;
   outcome.chain_first_hop = task.hop;
   // One clock read covers the queueing measurement, the deadline check,
-  // and the sojourn check; the executor's own timing is the record's
-  // business.
+  // and the sojourn check; the run's own timing is the record's business.
   const util::Nanos now = util::monotonic_now();
   outcome.queueing = now - task.enqueued_at;
   // Expire-at-dequeue (CoDel-style): a task whose deadline passed — or
@@ -154,38 +128,21 @@ void Dispatcher::execute_and_record(Worker& worker, Submission task) {
         util::Status{util::StatusCode::kDeadlineExceeded,
                      deadline_passed ? "dispatcher: deadline expired in queue"
                                      : "dispatcher: sojourn cap exceeded"};
-    outcome.reject = SubmissionReject::kDeadlineExpired;
+    outcome.reject = faas::SubmissionReject::kDeadlineExpired;
     expired_.fetch_add(1, std::memory_order_acq_rel);
-    {
-      std::lock_guard lock(worker.mutex);
-      worker.outcomes.push_back(std::move(outcome));
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      completed_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    return;
+  } else {
+    host_.run_task(std::move(task), outcome);
   }
-  executor_(std::move(task), outcome);
-  {
-    std::lock_guard lock(worker.mutex);
-    worker.outcomes.push_back(std::move(outcome));
-    // Ordered under the outcome lock: by the time a frontend's accounting
-    // observes the completion, the outcome is drainable.
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    completed_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  std::lock_guard lock(worker.mutex);
+  worker.outcomes.push_back(std::move(outcome));
+  // Ordered under the outcome lock: by the time a frontend's accounting
+  // observes the completion, the outcome is drainable.
+  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  completed_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-void Dispatcher::wait_idle() {
-  for (auto& worker : workers_) {
-    std::unique_lock lock(worker->mutex);
-    worker->idle.wait(lock, [&worker] {
-      return worker->tasks.empty() && !worker->busy;
-    });
-  }
-}
-
-std::vector<SubmissionOutcome> Dispatcher::take_outcomes() {
-  std::vector<SubmissionOutcome> out;
+std::vector<faas::SubmissionOutcome> Dispatcher::take_outcomes() {
+  std::vector<faas::SubmissionOutcome> out;
   for (auto& worker : workers_) {
     std::lock_guard lock(worker->mutex);
     for (auto& outcome : worker->outcomes) {
@@ -194,11 +151,6 @@ std::vector<SubmissionOutcome> Dispatcher::take_outcomes() {
     worker->outcomes.clear();
   }
   return out;
-}
-
-std::vector<SubmissionOutcome> Dispatcher::drain() {
-  wait_idle();
-  return take_outcomes();
 }
 
 void Dispatcher::pause() {
@@ -221,8 +173,8 @@ void Dispatcher::resume() {
   }
 }
 
-std::vector<Submission> Dispatcher::steal_pending() {
-  std::vector<Submission> stolen;
+std::vector<faas::Submission> Dispatcher::steal_pending() {
+  std::vector<faas::Submission> stolen;
   for (auto& worker : workers_) {
     std::lock_guard lock(worker->mutex);
     for (auto& task : worker->tasks) {
@@ -243,4 +195,4 @@ std::size_t Dispatcher::free_slots() const noexcept {
   return busy >= cap ? 0 : cap - busy;
 }
 
-}  // namespace horse::faas
+}  // namespace horse::cluster

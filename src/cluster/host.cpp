@@ -19,24 +19,11 @@ faas::PlatformConfig per_host_config(faas::PlatformConfig config, HostId id) {
 }  // namespace
 
 Host::Host(HostId id, faas::PlatformConfig platform_config, std::size_t workers,
-           faas::TaskSource* pull_source, util::Nanos max_sojourn)
+           faas::SharedTaskQueue* pull_queue, util::Nanos max_sojourn)
     : id_(id),
-      pull_mode_(pull_source != nullptr),
+      pull_mode_(pull_queue != nullptr),
       platform_(per_host_config(std::move(platform_config), id)),
-      dispatcher_([&] {
-        faas::Dispatcher::Options options;
-        options.workers = workers;
-        options.source = pull_source;
-        options.max_sojourn = max_sojourn;
-        options.executor = [this](faas::Submission task,
-                                  faas::SubmissionOutcome& outcome) {
-          run_task(std::move(task), outcome);
-        };
-        options.router = [this](faas::FunctionId function) {
-          return platform_.shard_of(function);
-        };
-        return options;
-      }()) {}
+      dispatcher_(*this, workers, pull_queue, max_sojourn) {}
 
 void Host::submit(faas::Submission task) {
   probe_faults(task);

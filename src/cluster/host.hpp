@@ -1,6 +1,7 @@
 // One simulated cluster host: a whole single-host control plane
-// (faas::Platform) plus the per-host dispatch plumbing (faas::Dispatcher)
-// and the minimal health state the cluster scheduler balances on.
+// (faas::Platform) plus its worker pool (cluster::Dispatcher, whose
+// workers call run_task) and the minimal health state the cluster
+// scheduler balances on.
 //
 // Health state is deliberately tiny and reconstructable (Dirigent's
 // lesson: cluster orchestration state should be rebuildable from the
@@ -45,8 +46,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/dispatcher.hpp"
 #include "cluster/load_balance.hpp"
-#include "faas/dispatcher.hpp"
 #include "faas/platform.hpp"
 #include "faas/submission.hpp"
 #include "metrics/histogram.hpp"
@@ -55,12 +56,12 @@ namespace horse::cluster {
 
 class Host {
  public:
-  /// `pull_source` non-null puts the host's workers in pull mode (they
+  /// `pull_queue` non-null puts the host's workers in pull mode (they
   /// drain the cluster's shared queue when idle); it must outlive the
   /// host and be close()d before destruction. `max_sojourn` is the
   /// dispatcher's CoDel-style queue-sojourn cap (0 = disabled).
   Host(HostId id, faas::PlatformConfig platform_config, std::size_t workers,
-       faas::TaskSource* pull_source, util::Nanos max_sojourn = 0);
+       faas::SharedTaskQueue* pull_queue, util::Nanos max_sojourn = 0);
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -157,7 +158,7 @@ class Host {
     return stall_count_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] faas::Dispatcher& dispatcher() noexcept { return dispatcher_; }
+  [[nodiscard]] Dispatcher& dispatcher() noexcept { return dispatcher_; }
 
   /// Copy of the host's dispatch-latency histogram (submit → worker
   /// pickup, i.e. queueing; recorded at execution time).
@@ -171,6 +172,10 @@ class Host {
   }
 
  private:
+  friend class Dispatcher;  // its workers are the only run_task callers
+
+  /// Execute one dequeued task against the platform, filling `outcome`
+  /// (function/mode/seq/key/queueing are already set by the worker).
   void run_task(faas::Submission task, faas::SubmissionOutcome& outcome);
   /// The cluster.host_crash / cluster.host_stall probe for one accepted
   /// task (re-dispatched tasks and unhealthy hosts are exempt).
@@ -196,7 +201,7 @@ class Host {
   // Platform before Dispatcher: workers join before the control plane
   // they invoke against is torn down.
   faas::Platform platform_;
-  faas::Dispatcher dispatcher_;
+  Dispatcher dispatcher_;
 };
 
 }  // namespace horse::cluster

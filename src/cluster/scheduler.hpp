@@ -87,9 +87,10 @@
 // the dedup ledger.
 //
 // Thread-safety: submit() from any thread; drain() single-drainer, and
-// it must not run concurrently with submit() (same contract as
-// Invoker::drain). register/provision/ensure_snapshot/advance_time are
-// setup/driver calls, not hot paths.
+// it must not run concurrently with submit(): it polls the hosts'
+// completed() counters until every accepted submission is accounted
+// for, then takes their outcomes. register/provision/ensure_snapshot/
+// advance_time are setup/driver calls, not hot paths.
 #pragma once
 
 #include <atomic>

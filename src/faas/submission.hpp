@@ -1,25 +1,17 @@
-// Transport-free submission currency shared by every dispatch frontend.
+// The submission currency of the cluster's dispatch path: what a
+// ClusterScheduler accepts, what a host's worker pool
+// (cluster/dispatcher.hpp) runs, and what drain() hands back.
 //
-// The pre-cluster Invoker fused three concerns: the submission types
-// (task in, outcome out), the worker-pool transport (per-worker queues +
-// shard-affine routing), and the binding to one Platform. The cluster
-// scheduler needs the first two without the third — a cluster host runs
-// the same worker loop against its own Platform, and pull-mode hosts
-// replace the per-worker queues with a shared bounded queue they drain
-// when idle. This header is the extracted currency:
-//
-//   * Submission / SubmissionOutcome — what flows in and out of any
-//     dispatch frontend (Invoker, cluster Host, pull queue). `seq` is a
-//     frontend-assigned identity so accounting tests can prove no
-//     submission is lost or executed twice; `host` on the outcome is
-//     filled by cluster frontends (always 0 single-host).
-//   * TaskSource — the pull-mode abstraction: a blocking producer of
-//     Submissions that a Dispatcher's workers drain instead of their own
-//     queues (Hiku-style: idle hosts pull work; nothing is committed to a
-//     host before a worker there is free).
-//   * SharedTaskQueue — the bounded MPMC TaskSource the cluster uses.
-//     push() blocks when full (submission backpressure), close() wakes
-//     all consumers for shutdown.
+//   * Submission / SubmissionOutcome — one queued invocation (a function
+//     or a workflow chain) and its result. `seq` is a frontend-assigned
+//     identity so accounting tests can prove no submission is lost or
+//     executed twice; `host` on the outcome names the executing host.
+//   * SharedTaskQueue — the bounded MPMC queue behind the cluster's pull
+//     mode: idle workers on every host block on it and take the next
+//     task the moment they free up (Hiku-style: nothing is committed to a
+//     host before a worker there is free). push() blocks when full
+//     (submission backpressure), close() wakes all consumers for
+//     shutdown.
 #pragma once
 
 #include <cassert>
@@ -66,8 +58,8 @@ struct Submission {
   /// across every re-dispatch of the same logical submission. The crash
   /// dedup ledger keys on it: a late completion from a declared-dead host
   /// and the completion of its re-dispatched copy carry the SAME key, so
-  /// exactly one of them surfaces. 0 = untagged (single-host Invoker
-  /// paths that never re-dispatch).
+  /// exactly one of them surfaces. 0 = untagged (a task handed straight
+  /// to a Host that never re-dispatches it).
   std::uint64_t key = 0;
   /// Set when a cluster re-dispatches after a stall/drop: re-dispatched
   /// submissions are exempt from the dispatch faults, which is what makes
@@ -98,23 +90,13 @@ struct SubmissionOutcome {
   SubmissionReject reject = SubmissionReject::kNone;
 };
 
-/// Pull-mode task producer: blocks consumers until work or shutdown.
-class TaskSource {
- public:
-  virtual ~TaskSource() = default;
-
-  /// Blocks until a task is available (true) or the source is closed and
-  /// drained (false). Multiple consumers may wait concurrently.
-  virtual bool wait_pop(Submission& out) = 0;
-};
-
 /// Bounded MPMC queue of submissions — the cluster's shared pull queue.
 ///
 /// Precondition: capacity > 0. A zero-capacity queue used to be silently
 /// coerced to 1 — a config typo became an invisible convoy point instead
 /// of an error. Construction now asserts and throws instead (configuration
 /// error, not a hot-path condition).
-class SharedTaskQueue final : public TaskSource {
+class SharedTaskQueue {
  public:
   explicit SharedTaskQueue(std::size_t capacity) : capacity_(capacity) {
     assert(capacity > 0 && "SharedTaskQueue capacity must be positive");
@@ -154,7 +136,9 @@ class SharedTaskQueue final : public TaskSource {
     return true;
   }
 
-  bool wait_pop(Submission& out) override {
+  /// Blocks until a task is available (true) or the queue is closed and
+  /// drained (false). Multiple consumers may wait concurrently.
+  bool wait_pop(Submission& out) {
     std::unique_lock lock(mutex_);
     not_empty_.wait(lock, [this] { return !tasks_.empty() || closed_; });
     if (tasks_.empty()) {

@@ -1,13 +1,13 @@
-// --hosts 1 must be the pre-cluster Invoker, behaviorally: same outcomes,
-// same pool state, same error surface. The cluster layer may add latency
-// noise (an extra atomic or two) but never semantics.
+// --hosts 1 must be serial Platform::invoke on the same platform,
+// behaviorally: same outcomes, same pool state, same error surface. The
+// cluster layer (front door, dispatcher queue, worker threads) may add
+// latency but never semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "cluster/scheduler.hpp"
-#include "faas/invoker.hpp"
 #include "workloads/array_filter.hpp"
 
 namespace horse::cluster {
@@ -67,20 +67,25 @@ void drive(SubmitFn submit, faas::FunctionId filter) {
   submit(999, filter_request(), faas::StartMode::kCold);
 }
 
-TEST(SingleHostEquivalenceTest, OutcomesMatchTheInvokerPath) {
-  // Invoker path.
+TEST(SingleHostEquivalenceTest, OutcomesMatchSerialPlatformInvoke) {
+  // Reference: serial Platform::invoke on the calling thread.
   faas::Platform platform(platform_config());
-  const auto invoker_filter = platform.registry().add(filter_spec());
-  ASSERT_TRUE(invoker_filter);
-  ASSERT_TRUE(platform.provision(*invoker_filter, 2).is_ok());
-  faas::Invoker invoker(platform, 2);
+  const auto serial_filter = platform.registry().add(filter_spec());
+  ASSERT_TRUE(serial_filter);
+  ASSERT_TRUE(platform.provision(*serial_filter, 2).is_ok());
+  OutcomeDigest single;
   drive(
       [&](faas::FunctionId fn, workloads::Request request,
-          faas::StartMode mode) { invoker.submit(fn, std::move(request), mode); },
-      *invoker_filter);
-  const OutcomeDigest single = digest(invoker.drain());
+          faas::StartMode mode) {
+        const auto result = platform.invoke(fn, std::move(request), mode);
+        single.codes.push_back(result.status().code());
+        single.modes.push_back(mode);
+        single.response_sizes.push_back(
+            result ? result->response.indexes.size() : 0);
+      },
+      *serial_filter);
 
-  // Cluster path, one host, same worker count, same platform template
+  // Cluster path, one host with two workers, same platform template
   // (host 0's seed offset is zero, so the two platforms are identical).
   ClusterConfig config;
   config.num_hosts = 1;
@@ -89,7 +94,7 @@ TEST(SingleHostEquivalenceTest, OutcomesMatchTheInvokerPath) {
   ClusterScheduler cluster(config);
   const auto cluster_filter = cluster.register_function(filter_spec);
   ASSERT_TRUE(cluster_filter);
-  EXPECT_EQ(*cluster_filter, *invoker_filter);
+  EXPECT_EQ(*cluster_filter, *serial_filter);
   ASSERT_TRUE(cluster.provision(*cluster_filter, 2).is_ok());
   drive(
       [&](faas::FunctionId fn, workloads::Request request,
@@ -102,7 +107,7 @@ TEST(SingleHostEquivalenceTest, OutcomesMatchTheInvokerPath) {
   EXPECT_EQ(single.response_sizes, clustered.response_sizes);
 
   // Same residual pool state on both sides.
-  EXPECT_EQ(platform.warm_pool().available(*invoker_filter),
+  EXPECT_EQ(platform.warm_pool().available(*serial_filter),
             cluster.host(0).platform().warm_pool().available(*cluster_filter));
 }
 

@@ -1,8 +1,8 @@
 // Unit tier for the overload-control building blocks: typed rejects, the
 // host-wide RetryBudget, the per-function CircuitBreaker, the bounded
-// queue's non-blocking push, dispatcher expiry-at-dequeue, and the
-// platform-level admission gates. No fault injection here — everything is
-// driven through public APIs with explicit clocks/seeds.
+// queue's non-blocking push, deadline expiry at a host's dispatcher, and
+// the platform-level admission gates. No fault injection here —
+// everything is driven through public APIs with explicit clocks/seeds.
 #include "faas/admission.hpp"
 
 #include <gtest/gtest.h>
@@ -14,8 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "faas/dispatcher.hpp"
-#include "faas/invoker.hpp"
+#include "cluster/scheduler.hpp"
 #include "faas/platform.hpp"
 #include "faas/submission.hpp"
 #include "util/rng.hpp"
@@ -274,73 +273,7 @@ TEST(SharedTaskQueueTest, TryPushRefusesAfterClose) {
   EXPECT_TRUE(queue.empty());
 }
 
-// --- Dispatcher expiry-at-dequeue ------------------------------------------
-
-TEST(DispatcherExpiryTest, PastDeadlineExpiresWithoutExecuting) {
-  std::atomic<int> executed{0};
-  Dispatcher::Options options;
-  options.executor = [&executed](Submission, SubmissionOutcome& outcome) {
-    ++executed;
-    outcome.status = util::Status::ok();
-  };
-  options.router = [](FunctionId) { return std::size_t{0}; };
-  options.workers = 1;
-  Dispatcher dispatcher(std::move(options));
-
-  Submission task;
-  task.seq = 1;
-  task.enqueued_at = util::monotonic_now();
-  task.deadline = 1;  // monotonic epoch start: long past
-  dispatcher.submit(std::move(task));
-  const auto outcomes = dispatcher.drain();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(executed.load(), 0) << "expired work must never execute";
-  EXPECT_EQ(outcomes[0].reject, SubmissionReject::kDeadlineExpired);
-  EXPECT_EQ(outcomes[0].status.code(), util::StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(dispatcher.expired(), 1u);
-  EXPECT_EQ(dispatcher.completed(), 1u)
-      << "expiry records an outcome, so accounting stays lossless";
-}
-
-TEST(DispatcherExpiryTest, SojournCapExpiresStaleTasks) {
-  std::atomic<int> executed{0};
-  Dispatcher::Options options;
-  options.executor = [&executed](Submission, SubmissionOutcome& outcome) {
-    ++executed;
-    outcome.status = util::Status::ok();
-  };
-  options.router = [](FunctionId) { return std::size_t{0}; };
-  options.workers = 1;
-  options.max_sojourn = util::kMicrosecond;
-  Dispatcher dispatcher(std::move(options));
-
-  // Backdate the enqueue far past the sojourn cap: the measured queueing
-  // delay exceeds it no matter how fast the worker picks the task up.
-  Submission stale;
-  stale.seq = 1;
-  stale.enqueued_at = util::monotonic_now() - util::kMillisecond;
-  dispatcher.submit(std::move(stale));
-  auto outcomes = dispatcher.drain();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(executed.load(), 0);
-  EXPECT_EQ(outcomes[0].reject, SubmissionReject::kDeadlineExpired);
-  EXPECT_EQ(dispatcher.expired(), 1u);
-
-  // A fresh deadline-free task is untouched by the cap only if it is
-  // picked up fast enough; a generous re-check with the cap disabled
-  // lives in the invoker tests. Here: deadline-free + fresh enqueue may
-  // still trip a 1 µs cap under scheduler noise, so just assert the
-  // expired counter is monotone and accounting holds.
-  Submission fresh;
-  fresh.seq = 2;
-  fresh.enqueued_at = util::monotonic_now();
-  dispatcher.submit(std::move(fresh));
-  outcomes = dispatcher.drain();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(dispatcher.completed(), 2u);
-}
-
-// --- Invoker deadline propagation ------------------------------------------
+// --- Deadline propagation through a one-host cluster ------------------------
 
 class AdmissionPlatformTest : public ::testing::Test {
  protected:
@@ -350,7 +283,7 @@ class AdmissionPlatformTest : public ::testing::Test {
     return config;
   }
 
-  static FunctionId add_filter(Platform& platform) {
+  static FunctionSpec filter_spec() {
     FunctionSpec spec;
     spec.name = "filter";
     spec.implementation = std::make_shared<workloads::ArrayFilterFunction>();
@@ -358,7 +291,22 @@ class AdmissionPlatformTest : public ::testing::Test {
     spec.sandbox.num_vcpus = 1;
     spec.sandbox.memory_mb = 1;
     spec.sandbox.ull = true;
-    return *platform.registry().add(std::move(spec));
+    return spec;
+  }
+
+  static FunctionId add_filter(Platform& platform) {
+    return *platform.registry().add(filter_spec());
+  }
+
+  /// One host, two workers, front-door admission off: a deadline is
+  /// checked only where the host's dispatcher dequeues the task.
+  static cluster::ClusterConfig one_host_without_admission() {
+    cluster::ClusterConfig config;
+    config.num_hosts = 1;
+    config.workers_per_host = 2;
+    config.admission.enabled = false;
+    config.platform = make_config();
+    return config;
   }
 
   static workloads::Request filter_request() {
@@ -369,13 +317,13 @@ class AdmissionPlatformTest : public ::testing::Test {
   }
 };
 
-TEST_F(AdmissionPlatformTest, InvokerPropagatesDeadlineToTypedReject) {
-  Platform platform(make_config());
-  const FunctionId filter = add_filter(platform);
-  Invoker invoker(platform, 2);
-  invoker.submit(filter, filter_request(), StartMode::kCold, /*deadline=*/1);
-  invoker.submit(filter, filter_request(), StartMode::kCold, /*deadline=*/0);
-  const auto outcomes = invoker.drain();
+TEST_F(AdmissionPlatformTest, DispatcherPropagatesDeadlineToTypedReject) {
+  cluster::ClusterScheduler cluster(one_host_without_admission());
+  const auto filter = cluster.register_function(filter_spec);
+  ASSERT_TRUE(filter);
+  cluster.submit(*filter, filter_request(), StartMode::kCold, /*deadline=*/1);
+  cluster.submit(*filter, filter_request(), StartMode::kCold, /*deadline=*/0);
+  const auto outcomes = cluster.drain();
   ASSERT_EQ(outcomes.size(), 2u);
   int expired = 0;
   int completed = 0;
@@ -391,19 +339,19 @@ TEST_F(AdmissionPlatformTest, InvokerPropagatesDeadlineToTypedReject) {
   }
   EXPECT_EQ(expired, 1);
   EXPECT_EQ(completed, 1);
-  EXPECT_EQ(platform.counters().deadline_rejections, 0u)
+  EXPECT_EQ(cluster.host(0).platform().counters().deadline_rejections, 0u)
       << "dispatcher expires at dequeue; the platform gate never sees it";
 }
 
 TEST_F(AdmissionPlatformTest, FarFutureDeadlineCompletesNormally) {
-  Platform platform(make_config());
-  const FunctionId filter = add_filter(platform);
-  Invoker invoker(platform, 2);
+  cluster::ClusterScheduler cluster(one_host_without_admission());
+  const auto filter = cluster.register_function(filter_spec);
+  ASSERT_TRUE(filter);
   const util::Nanos deadline = util::monotonic_now() + 60'000'000'000;
   for (int i = 0; i < 10; ++i) {
-    invoker.submit(filter, filter_request(), StartMode::kCold, deadline);
+    cluster.submit(*filter, filter_request(), StartMode::kCold, deadline);
   }
-  const auto outcomes = invoker.drain();
+  const auto outcomes = cluster.drain();
   ASSERT_EQ(outcomes.size(), 10u);
   for (const auto& outcome : outcomes) {
     EXPECT_TRUE(outcome.status.is_ok()) << outcome.status.to_report();

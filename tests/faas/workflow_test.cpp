@@ -5,8 +5,9 @@
 // single-resume execution path (one pool take, interior stages never
 // recorded as arrivals), hop-cursor resume after a mid-chain start
 // failure, per-hop deadline slack accounting (a fused run the deadline
-// stops mid-way still books as one invocation), and concurrent workflow
-// add vs find under the registry's shared lock.
+// stops mid-way still books as one invocation), concurrent workflow
+// add vs find under the registry's shared lock, and chains submitted
+// through a one-host ClusterScheduler.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "faas/invoker.hpp"
+#include "cluster/scheduler.hpp"
 #include "faas/platform.hpp"
 #include "faas/registry.hpp"
 #include "support/sanitizers.hpp"
@@ -550,22 +551,25 @@ TEST(WorkflowRegistryConcurrencyTest, ConcurrentAddAndFindUnderSharedLock) {
             static_cast<std::size_t>(kWriters * kPerWriter));
 }
 
-TEST(WorkflowInvokerTest, ChainsFlowThroughTheDispatchFrontend) {
-  Platform platform;
+TEST(WorkflowClusterTest, ChainsFlowThroughOneHostScheduler) {
+  cluster::ClusterConfig config;
+  config.num_hosts = 1;
+  config.workers_per_host = 2;
+  cluster::ClusterScheduler cluster(config);
   auto a = std::make_shared<CountingFunction>("inv-a");
   auto b = std::make_shared<CountingFunction>("inv-b");
   WorkflowSpec spec;
-  spec.name = "invoker-chain";
-  spec.stages = {*platform.registry().add(make_spec(a, true)),
-                 *platform.registry().add(make_spec(b, true))};
-  const WorkflowId workflow = *platform.registry().add_workflow(spec);
-  ASSERT_TRUE(platform.provision(spec.stages.front(), 1).is_ok());
+  spec.name = "one-host-chain";
+  spec.stages = {
+      *cluster.register_function([&a] { return make_spec(a, true); }),
+      *cluster.register_function([&b] { return make_spec(b, true); })};
+  const WorkflowId workflow = *cluster.register_workflow(spec);
+  ASSERT_TRUE(cluster.provision(spec.stages.front(), 1).is_ok());
 
-  Invoker invoker(platform, 2);
-  invoker.submit_chain(workflow, request_with_header("pkt"), StartMode::kHorse);
-  invoker.submit_chain(workflow + 17, request_with_header("pkt"),
+  cluster.submit_chain(workflow, request_with_header("pkt"), StartMode::kHorse);
+  cluster.submit_chain(workflow + 17, request_with_header("pkt"),
                        StartMode::kHorse);  // unknown workflow
-  const auto outcomes = invoker.drain();
+  const auto outcomes = cluster.drain();
   ASSERT_EQ(outcomes.size(), 2u);
   for (const auto& outcome : outcomes) {
     if (outcome.workflow == workflow) {

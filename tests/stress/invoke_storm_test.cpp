@@ -1,8 +1,8 @@
-// Invocation storm: many submit threads drive the FULL control-plane
-// path (Invoker → shard → engines → pool) concurrently, with mixed
-// functions and every StartMode at once — the end-to-end counterpart of
-// the engine-level stress tests. What unit tests cannot see and these
-// can:
+// Invocation storm: many client threads drive the FULL control-plane
+// path (Platform::invoke → shard → engines → pool) concurrently, with
+// mixed functions and every StartMode at once — the end-to-end
+// counterpart of the engine-level stress tests. What unit tests cannot
+// see and these can:
 //
 //   * shard mutexes really partition the work — invocations of disjoint
 //     functions make progress from many threads without corrupting the
@@ -22,12 +22,12 @@
 
 #include <atomic>
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "faas/invoker.hpp"
 #include "faas/platform.hpp"
 #include "workloads/array_filter.hpp"
 #include "workloads/nat.hpp"
@@ -110,12 +110,15 @@ TEST(InvokeStormTest, MixedModesAcrossShardsAllComplete) {
 
   constexpr std::size_t kSubmitThreads = 4;
   constexpr std::size_t kPerThread = 64;
-  Invoker invoker(platform, kSubmitThreads);
+  std::atomic<std::uint64_t> submitted{0};
+  std::vector<std::vector<util::Expected<InvocationRecord>>> results(
+      kSubmitThreads);
 
   {
     std::vector<std::jthread> submitters;
     for (std::size_t t = 0; t < kSubmitThreads; ++t) {
-      submitters.emplace_back([&invoker, &functions, t] {
+      submitters.emplace_back([&platform, &functions, &submitted, &results,
+                               t] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
           const StormFunction& fn = functions[(t + i) % functions.size()];
           StartMode mode;
@@ -128,8 +131,9 @@ TEST(InvokeStormTest, MixedModesAcrossShardsAllComplete) {
           } else {
             mode = fn.ull ? StartMode::kHorse : StartMode::kWarm;
           }
-          invoker.submit(fn.id,
-                         fn.ull ? packet_request() : filter_request(), mode);
+          submitted.fetch_add(1, std::memory_order_relaxed);
+          results[t].push_back(platform.invoke(
+              fn.id, fn.ull ? packet_request() : filter_request(), mode));
         }
       });
     }
@@ -144,16 +148,20 @@ TEST(InvokeStormTest, MixedModesAcrossShardsAllComplete) {
     });
   }
 
-  const auto outcomes = invoker.drain();
+  std::vector<util::Expected<InvocationRecord>> outcomes;
+  for (auto& per_thread : results) {
+    std::move(per_thread.begin(), per_thread.end(),
+              std::back_inserter(outcomes));
+  }
   constexpr std::uint64_t kExpected = kSubmitThreads * kPerThread;
   ASSERT_EQ(outcomes.size(), kExpected);
-  EXPECT_EQ(invoker.submitted(), kExpected);
+  EXPECT_EQ(submitted.load(), kExpected);
 
   std::uint64_t ladder_completions = 0;
   for (const auto& outcome : outcomes) {
-    ASSERT_TRUE(outcome.status.is_ok()) << outcome.status.to_report();
-    if (outcome.record.mode != outcome.record.requested) {
-      EXPECT_EQ(outcome.record.requested, StartMode::kWarm);
+    ASSERT_TRUE(outcome) << outcome.status().to_report();
+    if (outcome->mode != outcome->requested) {
+      EXPECT_EQ(outcome->requested, StartMode::kWarm);
       ++ladder_completions;
     }
   }
@@ -253,11 +261,11 @@ TEST(InvokeStormTest, SharedReservedQueueResumesNeverDegrade) {
 }
 
 TEST(InvokeStormTest, SingleFunctionStormSerialisesOnItsShard) {
-  // Many threads hammering ONE function with provision=1: the shard mutex
-  // is the only thing preventing double-take of the single pooled
-  // sandbox. Every invocation must still complete (taker wins, others
-  // wait — never a corrupted pool or a spurious ladder fall to kCold
-  // counted as failure).
+  // Many threads hammering ONE function with provision=1, each calling
+  // Platform::invoke itself: the shard mutex is the only thing preventing
+  // double-take of the single pooled sandbox. Every invocation must still
+  // complete (taker wins, others wait — never a corrupted pool or a
+  // spurious ladder fall to kCold counted as failure).
   PlatformConfig config;
   config.num_cpus = 4;
   config.horse.num_ull_runqueues = 1;
@@ -268,24 +276,30 @@ TEST(InvokeStormTest, SingleFunctionStormSerialisesOnItsShard) {
 
   constexpr std::size_t kSubmitThreads = 4;
   constexpr std::size_t kPerThread = 48;
-  Invoker invoker(platform, kSubmitThreads);
+  std::vector<std::vector<util::Status>> statuses(kSubmitThreads);
   {
     std::vector<std::jthread> submitters;
     for (std::size_t t = 0; t < kSubmitThreads; ++t) {
-      submitters.emplace_back([&invoker, fn] {
+      submitters.emplace_back([&platform, &statuses, fn, t] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
-          invoker.submit(fn, packet_request(),
-                         i % 8 == 7 ? StartMode::kCold : StartMode::kHorse);
+          statuses[t].push_back(
+              platform
+                  .invoke(fn, packet_request(),
+                          i % 8 == 7 ? StartMode::kCold : StartMode::kHorse)
+                  .status());
         }
       });
     }
   }
 
-  const auto outcomes = invoker.drain();
-  ASSERT_EQ(outcomes.size(), kSubmitThreads * kPerThread);
-  for (const auto& outcome : outcomes) {
-    ASSERT_TRUE(outcome.status.is_ok()) << outcome.status.to_report();
+  std::size_t outcomes = 0;
+  for (const auto& per_thread : statuses) {
+    for (const util::Status& status : per_thread) {
+      ASSERT_TRUE(status.is_ok()) << status.to_report();
+      ++outcomes;
+    }
   }
+  ASSERT_EQ(outcomes, kSubmitThreads * kPerThread);
   const PlatformCounters counters = platform.counters();
   EXPECT_EQ(counters.invocations, kSubmitThreads * kPerThread);
   EXPECT_EQ(counters.failed, 0u);
