@@ -1368,10 +1368,14 @@ std::vector<ChainStageKind> parse_chain_stages(const std::string& spec) {
   return stages;
 }
 
+/// The packet plus Table 1's Category-3 input: 3000 integers filtered at
+/// 775,000, the middle of perfbench's threshold band (~22.5 % kept).
 workloads::Request chain_request() {
+  static const std::vector<std::int32_t> payload =
+      workloads::ArrayFilterFunction::default_payload();
   workloads::Request request = packet_request();
-  request.payload = {5, 10, 15, 20};
-  request.threshold = 7;
+  request.payload = payload;
+  request.threshold = 775'000;
   return request;
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+
+#include "util/rng.hpp"
 #include "workloads/array_filter.hpp"
 #include "workloads/cpu_burner.hpp"
 #include "workloads/firewall.hpp"
@@ -162,6 +165,97 @@ TEST(ArrayFilterTest, MetadataMatchesCategory3) {
   ArrayFilterFunction filter;
   EXPECT_EQ(filter.category(), Category::kCategory3);
   EXPECT_EQ(filter.nominal_duration(), 700);
+}
+
+// The contract, written as the obvious loop: ascending indexes of the
+// elements strictly greater than the threshold, their uint64 sum, and
+// "allowed" when any was kept.
+Response reference_filter(const Request& request) {
+  Response response;
+  for (std::size_t i = 0; i < request.payload.size(); ++i) {
+    if (request.payload[i] > request.threshold) {
+      response.indexes.push_back(static_cast<std::int32_t>(i));
+      response.checksum += i;
+    }
+  }
+  response.allowed = !response.indexes.empty();
+  return response;
+}
+
+void expect_matches_reference(ArrayFilterFunction& filter,
+                              const Request& request) {
+  const Response want = reference_filter(request);
+  const Response got = filter.invoke(request);
+  ASSERT_EQ(got.indexes, want.indexes)
+      << "size " << request.payload.size() << ", threshold "
+      << request.threshold;
+  EXPECT_EQ(got.checksum, want.checksum);
+  EXPECT_EQ(got.allowed, want.allowed);
+  // Sized to what was kept, not to the input.
+  EXPECT_LE(got.indexes.capacity(), got.indexes.size() + 16);
+}
+
+// Values from a narrow band plus both extremes, so thresholds equal to
+// elements (the comparison is strict) and INT_MIN/INT_MAX elements occur.
+std::vector<std::int32_t> narrow_payload(std::size_t size,
+                                         util::Xoshiro256& rng) {
+  std::vector<std::int32_t> payload(size);
+  for (std::int32_t& value : payload) {
+    switch (rng.bounded(16)) {
+      case 0: value = INT_MIN; break;
+      case 1: value = INT_MAX; break;
+      default: value = static_cast<std::int32_t>(rng.bounded(41)) - 20;
+    }
+  }
+  return payload;
+}
+
+TEST(ArrayFilterTest, MatchesReferenceAcrossSizesAndThresholds) {
+  ArrayFilterFunction filter;
+  util::Xoshiro256 rng(2024);
+  std::vector<std::size_t> sizes;
+  for (std::size_t size = 0; size <= 70; ++size) sizes.push_back(size);
+  sizes.push_back(3000);
+  sizes.push_back(4099);
+  for (const std::size_t size : sizes) {
+    Request request;
+    request.payload = narrow_payload(size, rng);
+    std::vector<std::int32_t> thresholds = {INT_MIN, INT_MAX, -1, 0};
+    if (size > 0) {
+      thresholds.push_back(request.payload.front());
+      thresholds.push_back(request.payload[size / 2]);
+      thresholds.push_back(request.payload.back());
+    }
+    for (const std::int32_t threshold : thresholds) {
+      request.threshold = threshold;
+      expect_matches_reference(filter, request);
+    }
+  }
+}
+
+TEST(ArrayFilterTest, MatchesReferenceOnSeededRandomArrays) {
+  ArrayFilterFunction filter;
+  for (std::uint64_t seed = 1; seed <= 1024; ++seed) {
+    util::Xoshiro256 rng(seed);
+    const std::size_t size = rng.bounded(9000);
+    Request request;
+    if (seed % 2 == 0) {
+      request.payload = narrow_payload(size, rng);
+    } else {
+      request.payload.resize(size);
+      for (std::int32_t& value : request.payload) {
+        value = static_cast<std::int32_t>(rng.bounded(1'000'000));
+      }
+    }
+    // Half the thresholds are an element of the array, half are drawn
+    // from the same band as the elements.
+    const std::uint64_t band = seed % 2 == 0 ? 41 : 1'000'000;
+    request.threshold =
+        size > 0 && seed % 4 < 2
+            ? request.payload[rng.bounded(size)]
+            : static_cast<std::int32_t>(rng.bounded(band)) - 20;
+    expect_matches_reference(filter, request);
+  }
 }
 
 // --------------------------------------------------------------- thumbnail
