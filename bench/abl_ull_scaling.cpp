@@ -1,12 +1,12 @@
 // E10 (ablation, ours) — multiple ull_runqueues (§4.1.3's scaling knob).
 //
 // The reserved queue count is a construction-time deployment setting.
-// Two tables, on the shipped index upkeep (step ④ freshens a stale index
+// Two tables, on the shipped index upkeep (step ④ rebuilds a stale index
 // in place; nothing refreshes paused indexes in between):
 //   1. burst: 16 paused 8-vCPU sandboxes resumed back to back against 1,
 //      2, 4 and 8 reserved queues — how pause-time balancing spreads
-//      them, the burst's resume latency, and how many step-④ freshenings
-//      were journal repairs vs rebuilds;
+//      them, the burst's resume latency, and how many step-④ rebuilds
+//      it took;
 //   2. warm_steady depth: 48 paused sandboxes per queue (1-4 vCPUs, the
 //      repository benchmark's mix), cycled resume → re-park in a seeded
 //      order — what 1, 2, 4 and 8 reserved queues cost per warm cycle and
@@ -64,8 +64,7 @@ int main() {
   metrics::TextTable burst_table(
       "Ablation: reserved ull_runqueue count vs burst resume",
       {"queues", "sandboxes/queue (max)", "burst resume total",
-       "median resume", "p99 resume", "in-place repairs",
-       "in-place rebuilds"});
+       "median resume", "p99 resume", "in-place rebuilds"});
   for (const std::uint32_t queues : kQueueCounts) {
     sched::CpuTopology topology(16);
     core::HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker(),
@@ -102,7 +101,6 @@ int main() {
          metrics::format_nanos(static_cast<double>(burst_total)),
          metrics::format_nanos(latencies.percentile(50)),
          metrics::format_nanos(latencies.percentile(99)),
-         std::to_string(stats.in_place_repairs),
          std::to_string(stats.in_place_rebuilds)});
 
     for (auto& sandbox : sandboxes) {
@@ -116,7 +114,7 @@ int main() {
           std::to_string(kPausedPerQueue) + " paused sandboxes per queue, " +
           std::to_string(kWarmCycles) + " warm cycles)",
       {"queues", "paused", "p2sm memory", "median resume", "p99 resume",
-       "median re-park", "in-place repairs", "in-place rebuilds"});
+       "median re-park", "in-place rebuilds"});
   for (const std::uint32_t queues : kQueueCounts) {
     sched::CpuTopology topology(16);
     core::HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker(),
@@ -135,7 +133,7 @@ int main() {
 
     // Warm cycles: resume a seeded pick, then re-park it, as a warm hit
     // does. Each pause rebuilds the re-parked sandbox's index; each resume
-    // freshens its own index against the churn since its last pause.
+    // rebuilds its own index if the queue changed since its last pause.
     util::Xoshiro256 rng(7);
     metrics::SampleStats resumes;
     metrics::SampleStats reparks;
@@ -158,7 +156,6 @@ int main() {
          metrics::format_nanos(resumes.percentile(50)),
          metrics::format_nanos(resumes.percentile(99)),
          metrics::format_nanos(reparks.percentile(50)),
-         std::to_string(stats.in_place_repairs),
          std::to_string(stats.in_place_rebuilds)});
 
     for (auto& sandbox : sandboxes) {

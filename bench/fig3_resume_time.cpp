@@ -184,7 +184,6 @@ int main(int argc, char** argv) {
                  {{"fallback_merges", deg.fallback_merges},
                   {"poisoned_index_fallbacks", deg.poisoned_index_fallbacks},
                   {"merge_error_fallbacks", deg.merge_error_fallbacks},
-                  {"in_place_repairs", deg.in_place_repairs},
                   {"in_place_rebuilds", deg.in_place_rebuilds}})
       .print(std::cout);
 

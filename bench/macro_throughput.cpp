@@ -1370,11 +1370,21 @@ std::vector<ChainStageKind> parse_chain_stages(const std::string& spec) {
 
 /// The packet plus Table 1's Category-3 input: 3000 integers filtered at
 /// 775,000, the middle of perfbench's threshold band (~22.5 % kept).
-workloads::Request chain_request() {
-  static const std::vector<std::int32_t> payload =
-      workloads::ArrayFilterFunction::default_payload();
+/// Chain i carries array i mod kChainPayloads, each from its own seed, so
+/// the data-dependent filter body never runs with a predictor trained on
+/// the array it is filtering.
+constexpr std::size_t kChainPayloads = 16;
+
+workloads::Request chain_request(std::size_t chain) {
+  static const std::vector<std::vector<std::int32_t>> payloads = [] {
+    std::vector<std::vector<std::int32_t>> out;
+    for (std::uint64_t seed = 0; seed < kChainPayloads; ++seed) {
+      out.push_back(workloads::ArrayFilterFunction::default_payload(17 + seed));
+    }
+    return out;
+  }();
   workloads::Request request = packet_request();
-  request.payload = payload;
+  request.payload = payloads[chain % kChainPayloads];
   request.threshold = 775'000;
   return request;
 }
@@ -1459,7 +1469,7 @@ int run_chain_variant(const Options& options, const char* variant,
     if (per_hop) {
       // The pre-fusion shape: each hop is its own dispatch (pool take,
       // resume prologue, pause-and-pool), edges applied by the caller.
-      workloads::Request request = chain_request();
+      workloads::Request request = chain_request(i);
       for (std::size_t hop = 0; hop < spec.stages.size(); ++hop) {
         const auto record = platform.invoke(spec.stages[hop], request,
                                             faas::StartMode::kHorse);
@@ -1473,7 +1483,7 @@ int run_chain_variant(const Options& options, const char* variant,
         }
       }
     } else {
-      const auto chain = platform.invoke_chain(*workflow_id, chain_request(),
+      const auto chain = platform.invoke_chain(*workflow_id, chain_request(i),
                                                faas::StartMode::kHorse);
       ok = chain.has_value();
     }

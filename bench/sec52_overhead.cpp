@@ -15,11 +15,10 @@
 //     path. The occupants churn the ull_runqueue with 100 real re-parks
 //     and resumes per second. Nothing refreshes a paused index in the
 //     meantime: each pause rebuilds the re-parked sandbox's index, and
-//     each resume's step ④ repairs or rebuilds its own stale index in
-//     place. The share is (re-parks × their median extra over a vanilla
-//     re-park + step-④ splice cycles above a fresh-index resume) over the
-//     window's CPU time, and the step-④ repair/rebuild counts are printed
-//     beside it;
+//     each resume's step ④ rebuilds its own stale index in place. The
+//     share is (re-parks × their median extra over a vanilla re-park +
+//     step-④ splice cycles above a fresh-index resume) over the window's
+//     CPU time, and the step-④ rebuild count is printed beside it;
 //   * median HORSE resume latency of the paused sandboxes after the
 //     window (the transient §5.2 resume cost), freshening included.
 // The run is single-threaded and fault-free, so a degraded resume (a
@@ -66,7 +65,7 @@ int main() {
   metrics::TextTable table(
       "Sec 5.2: HORSE overhead (10 burners + 10 occupants + 10 paused uLL)",
       {"ull vcpus", "p2sm memory", "mem % of guest", "first pause extra/sb",
-       "re-park extra/sb", "maint CPU %", "step-4 repairs/rebuilds",
+       "re-park extra/sb", "maint CPU %", "step-4 rebuilds",
        "resume median"});
   bool degraded = false;
 
@@ -176,7 +175,7 @@ int main() {
     (void)horse.resume(*occupants[static_cast<std::size_t>(warm_cycles) % n]);
 
     // Resume the paused sandboxes; median latency. Each resume rebuilds
-    // or repairs its stale index in step ④, inside the timed resume.
+    // its stale index in step ④, inside the timed resume.
     metrics::SampleStats resumes;
     for (auto& sandbox : paused) {
       vmm::ResumeBreakdown bd;
@@ -213,8 +212,7 @@ int main() {
          util::CycleClock::available()
              ? metrics::format_percent(maintenance_cpu, 4)
              : "n/a",
-         std::to_string(stats.in_place_repairs) + "/" +
-             std::to_string(stats.in_place_rebuilds),
+         std::to_string(stats.in_place_rebuilds),
          metrics::format_nanos(resumes.percentile(50))});
 
     for (auto& sandbox : paused) {

@@ -55,7 +55,6 @@ ResumeDegradationStats HorseResumeEngine::degradation_stats() const noexcept {
       poisoned_index_fallbacks_.load(std::memory_order_acquire);
   out.merge_error_fallbacks =
       merge_error_fallbacks_.load(std::memory_order_acquire);
-  out.in_place_repairs = in_place_repairs_.load(std::memory_order_acquire);
   out.in_place_rebuilds = in_place_rebuilds_.load(std::memory_order_acquire);
   return out;
 }
@@ -171,7 +170,7 @@ void HorseResumeEngine::resume_fallback_merge(
   if (config_.branchless_walk) {
     // One lock hold, one monotone branch-free scan over the whole
     // pre-sorted merge list (RunQueue::merge_sorted is element-equivalent
-    // to the per-vCPU loop below and publishes a single journal batch).
+    // to the per-vCPU loop below and publishes a single version advance).
     util::LockGuard guard(queue.lock());
     queue.merge_sorted(sandbox.merge_vcpus());
   } else {
@@ -185,28 +184,6 @@ void HorseResumeEngine::resume_fallback_merge(
   breakdown.merge += watch.elapsed() +
                      static_cast<util::Nanos>(sandbox.num_vcpus()) *
                          profile_.resume_per_vcpu_tax;
-}
-
-void HorseResumeEngine::freshen_in_place(P2smIndex& index,
-                                         sched::VcpuList& merge_vcpus,
-                                         sched::RunQueue& queue) {
-  // Every resume or pause on a shared reserved queue bumps its version, so
-  // a paused neighbour's index is usually a few journal entries behind.
-  // Replaying them costs O(runs + gap); a rebuild costs O(|A| + |B|) and
-  // wins once the gap reaches that size (E17). Both inputs are already in
-  // hand, so the choice needs no knob and no calibration.
-  const std::uint64_t gap = index.version_gap(queue);
-  const bool replay = index.built() &&
-                      gap <= sched::RunQueue::kJournalCapacity &&
-                      gap < merge_vcpus.size() + queue.size();
-  if (replay && index.repair(merge_vcpus, queue).is_ok()) {
-    in_place_repairs_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Invalidated index, long gap, or a declined repair (journal gap,
-  // contradictory entry, poisoning): the rebuild cures all of them.
-  index.rebuild(merge_vcpus, queue);
-  in_place_rebuilds_.fetch_add(1, std::memory_order_relaxed);
 }
 
 util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
@@ -265,7 +242,12 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
         index->invalidate();
       }
       if (!index->poisoned() && !index->fresh(queue)) {
-        freshen_in_place(*index, sandbox.merge_vcpus(), queue);
+        // Every resume or pause on a shared reserved queue advances its
+        // version, so a paused neighbour's index is usually stale. Only
+        // running vCPUs sit on the queue, so the O(|A| + |B|) rebuild is
+        // short; it touches only this sandbox's index.
+        index->rebuild(sandbox.merge_vcpus(), queue);
+        in_place_rebuilds_.fetch_add(1, std::memory_order_relaxed);
       }
       // Checked after freshening: a rebuild can itself come back poisoned.
       if (index->poisoned()) {

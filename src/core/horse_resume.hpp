@@ -65,26 +65,24 @@ struct ResumeCycleStats {
 
 /// Counters for the engine's step-④ outcomes (monotonic; snapshot via
 /// degradation_stats()). A stale index is not a degradation: step ④
-/// freshens it in place under the queue lock and still splices in O(1),
-/// counted as an in-place repair or rebuild. Only an index that cannot be
+/// rebuilds it in place under the queue lock and still splices in O(1),
+/// counted as an in-place rebuild. Only an index that cannot be
 /// trusted (poisoned) or a merge() error degrades to the vanilla sorted
 /// walk; a degraded resume is still a *successful* resume — the sandbox
 /// runs and the queue is sorted.
 struct ResumeDegradationStats {
   /// Resumes that fell back to the vanilla sorted-merge walk (any cause).
   std::uint64_t fallback_merges = 0;
-  /// Always 0: a stale index no longer falls back (see in_place_*). Kept
-  /// only because the repository benchmark (perfbench/) prints it; remove
-  /// it together with that line.
+  /// Always 0: a stale index no longer falls back (see in_place_rebuilds).
+  /// Kept only because the repository benchmark (perfbench/) prints it;
+  /// remove it together with that line.
   std::uint64_t stale_index_fallbacks = 0;
   /// ... because the index was poisoned (corrupt anchor table).
   std::uint64_t poisoned_index_fallbacks = 0;
   /// ... because merge() itself reported an error.
   std::uint64_t merge_error_fallbacks = 0;
-  /// Stale indexes brought fresh in step ④ by a journal replay.
-  std::uint64_t in_place_repairs = 0;
-  /// Stale indexes brought fresh in step ④ by a full rebuild (long or
-  /// uncoverable version gap, invalidated index, or a declined repair).
+  /// Stale indexes brought fresh in step ④ by a rebuild under the queue
+  /// lock.
   std::uint64_t in_place_rebuilds = 0;
 };
 
@@ -141,13 +139,6 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   void resume_fallback_merge(vmm::Sandbox& sandbox, sched::CpuId cpu,
                              vmm::ResumeBreakdown& breakdown);
 
-  /// Bring a stale, unpoisoned index fresh against `queue` (caller holds
-  /// the queue lock): journal repair() when the version gap is coverable
-  /// and shorter than |A|+|B|, rebuild() otherwise or when the repair
-  /// declines. Touches only this sandbox's index.
-  void freshen_in_place(P2smIndex& index, sched::VcpuList& merge_vcpus,
-                        sched::RunQueue& queue);
-
   HorseConfig config_;
   HorseFeatures features_;
   /// Owned in the standalone shape, null in the sharded shape; ull_ is the
@@ -169,7 +160,6 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   std::atomic<std::uint64_t> fallback_merges_{0};
   std::atomic<std::uint64_t> poisoned_index_fallbacks_{0};
   std::atomic<std::uint64_t> merge_error_fallbacks_{0};
-  std::atomic<std::uint64_t> in_place_repairs_{0};
   std::atomic<std::uint64_t> in_place_rebuilds_{0};
 };
 

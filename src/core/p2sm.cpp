@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <string>
 
 #include "sched/credit_scan.hpp"
@@ -43,35 +42,24 @@ P2smIndex::AnchorIndex P2smIndex::anchor_for(sched::Credit credit) const noexcep
   return static_cast<AnchorIndex>(it - credits_b_) - 1;
 }
 
-void P2smIndex::ensure_b_capacity(std::size_t needed, bool preserve) {
+void P2smIndex::ensure_b_capacity(std::size_t needed) {
   if (b_capacity_ >= needed) {
     return;  // steady state: the recycled block absorbs the snapshot
   }
-  // Grow past `needed` by one journal's worth so a rebuild-sized block can
-  // absorb every repair insert a single journal window can deliver without
-  // touching the heap again.
-  const std::size_t target = needed + sched::RunQueue::kJournalCapacity;
   std::size_t cap = b_capacity_ == 0 ? 64 : b_capacity_;
-  while (cap < target) {
+  while (cap < needed) {
     cap *= 2;
   }
-  auto block = std::make_unique<std::byte[]>(
+  b_block_ = std::make_unique<std::byte[]>(
       cap * (sizeof(util::ListHook*) + sizeof(sched::Credit)));
-  auto** hooks = reinterpret_cast<util::ListHook**>(block.get());
-  auto* credits =
-      reinterpret_cast<sched::Credit*>(block.get() + cap * sizeof(util::ListHook*));
-  if (preserve && b_size_ > 0) {
-    std::memcpy(hooks, hooks_b_, b_size_ * sizeof(util::ListHook*));
-    std::memcpy(credits, credits_b_, b_size_ * sizeof(sched::Credit));
-  }
-  b_block_ = std::move(block);
   b_capacity_ = cap;
-  hooks_b_ = hooks;
-  credits_b_ = credits;
+  hooks_b_ = reinterpret_cast<util::ListHook**>(b_block_.get());
+  credits_b_ = reinterpret_cast<sched::Credit*>(
+      b_block_.get() + cap * sizeof(util::ListHook*));
 }
 
 void P2smIndex::rebuild(sched::VcpuList& a, sched::RunQueue& b) {
-  ensure_b_capacity(b.size(), /*preserve=*/false);
+  ensure_b_capacity(b.size());
   b_size_ = 0;
   for (sched::Vcpu& vcpu : b.list()) {
     hooks_b_[b_size_] = &vcpu.hook;
@@ -82,7 +70,7 @@ void P2smIndex::rebuild(sched::VcpuList& a, sched::RunQueue& b) {
   // Partition A (sorted) into maximal runs per anchor. Anchors are
   // non-decreasing along A, so a single pass appends in sorted order.
   // Capacity note: runs never outnumber A nodes, so reserving |A| once
-  // makes both this pass and every later repair-time split allocation-free.
+  // makes this pass allocation-free at stable sizes.
   pos_a_.clear();
   if (pos_a_.capacity() < a.size()) {
     pos_a_.reserve(a.size());
@@ -122,200 +110,6 @@ void P2smIndex::rebuild(sched::VcpuList& a, sched::RunQueue& b) {
   HORSE_DCHECK_OK(audit(a, b));
 }
 
-bool P2smIndex::apply_insert_delta(const sched::QueueDelta& delta) {
-  if (delta.position < 0 ||
-      static_cast<std::size_t>(delta.position) > b_size_) {
-    return false;
-  }
-  const auto p = static_cast<std::size_t>(delta.position);
-  const sched::Credit c = delta.credit;
-  // The journalled position must be a valid sorted insert against our
-  // snapshot: after every element <= c, before every element > c. Ties are
-  // strict on the right — every mutator links new elements after equal
-  // credits — so a violation means snapshot divergence, not a tie.
-  if (p > 0 && credits_b_[p - 1] > c) {
-    return false;
-  }
-  if (p < b_size_ && credits_b_[p] <= c) {
-    return false;
-  }
-
-  // Re-anchor the run table. Runs anchored at or after p shift right; the
-  // run anchored at p-1 (kBeforeHead when p == 0) may split: its nodes
-  // with credit >= c now belong after the inserted element.
-  const auto anchor_p = static_cast<AnchorIndex>(p);
-  std::size_t idx = static_cast<std::size_t>(
-      std::lower_bound(pos_a_.begin(), pos_a_.end(), anchor_p,
-                       [](const RunEntry& entry, AnchorIndex key) {
-                         return entry.anchor < key;
-                       }) -
-      pos_a_.begin());
-  for (std::size_t i = idx; i < pos_a_.size(); ++i) {
-    ++pos_a_[i].anchor;
-  }
-  if (idx > 0 && pos_a_[idx - 1].anchor == anchor_p - 1) {
-    Run& prev = pos_a_[idx - 1].run;
-    util::ListHook* node = prev.head;
-    std::size_t keep = 0;
-    while (keep < prev.count && vcpu_of(node)->credit < c) {
-      node = node->next;
-      ++keep;
-    }
-    if (keep == 0) {
-      // Every node lands after the new element: the whole run re-anchors.
-      pos_a_[idx - 1].anchor = anchor_p;
-    } else if (keep < prev.count) {
-      const Run second{node, prev.tail, prev.count - keep};
-      prev.tail = node->prev;
-      prev.count = keep;
-      pos_a_.insert(pos_a_.begin() + static_cast<std::ptrdiff_t>(idx),
-                    RunEntry{anchor_p, second});
-    }
-  }
-
-  // Shift the snapshot and drop the new element in.
-  ensure_b_capacity(b_size_ + 1, /*preserve=*/true);
-  std::memmove(hooks_b_ + p + 1, hooks_b_ + p,
-               (b_size_ - p) * sizeof(util::ListHook*));
-  std::memmove(credits_b_ + p + 1, credits_b_ + p,
-               (b_size_ - p) * sizeof(sched::Credit));
-  hooks_b_[p] = delta.hook;
-  credits_b_[p] = c;
-  ++b_size_;
-  return true;
-}
-
-bool P2smIndex::apply_remove_delta(const sched::QueueDelta& delta) {
-  std::size_t p = 0;
-  if (delta.position >= 0) {
-    p = static_cast<std::size_t>(delta.position);
-    if (p >= b_size_ || hooks_b_[p] != delta.hook) {
-      return false;
-    }
-  } else {
-    // Remove-by-node: resolve the position from the credit (binary search)
-    // plus the hook identity among equal credits.
-    const sched::Credit c = delta.credit;
-    std::size_t i =
-        branchless_
-            ? sched::credit_scan::branchless_lower_bound(credits_b_, b_size_, c)
-            : static_cast<std::size_t>(
-                  std::lower_bound(credits_b_, credits_b_ + b_size_, c) -
-                  credits_b_);
-    while (i < b_size_ && credits_b_[i] == c && hooks_b_[i] != delta.hook) {
-      ++i;
-    }
-    if (i >= b_size_ || credits_b_[i] != c || hooks_b_[i] != delta.hook) {
-      return false;
-    }
-    p = i;
-  }
-
-  // Re-anchor the run table. A run anchored at the vanished element
-  // re-anchors to p-1 and merges with an existing p-1 run (the two are
-  // adjacent in A, in that order); everything after p shifts left.
-  const auto anchor_p = static_cast<AnchorIndex>(p);
-  std::size_t idx = static_cast<std::size_t>(
-      std::lower_bound(pos_a_.begin(), pos_a_.end(), anchor_p,
-                       [](const RunEntry& entry, AnchorIndex key) {
-                         return entry.anchor < key;
-                       }) -
-      pos_a_.begin());
-  if (idx < pos_a_.size() && pos_a_[idx].anchor == anchor_p) {
-    if (idx > 0 && pos_a_[idx - 1].anchor == anchor_p - 1) {
-      Run& prev = pos_a_[idx - 1].run;
-      prev.tail = pos_a_[idx].run.tail;
-      prev.count += pos_a_[idx].run.count;
-      pos_a_.erase(pos_a_.begin() + static_cast<std::ptrdiff_t>(idx));
-    } else {
-      pos_a_[idx].anchor = anchor_p - 1;  // may become kBeforeHead
-      ++idx;
-    }
-  }
-  for (std::size_t i = idx; i < pos_a_.size(); ++i) {
-    --pos_a_[i].anchor;
-  }
-
-  std::memmove(hooks_b_ + p, hooks_b_ + p + 1,
-               (b_size_ - p - 1) * sizeof(util::ListHook*));
-  std::memmove(credits_b_ + p, credits_b_ + p + 1,
-               (b_size_ - p - 1) * sizeof(sched::Credit));
-  --b_size_;
-  return true;
-}
-
-util::Status P2smIndex::repair(sched::VcpuList& a, sched::RunQueue& b) {
-  if (!built_) {
-    return {util::StatusCode::kFailedPrecondition,
-            "p2sm repair: index not built; rebuild instead"};
-  }
-  if (poisoned_) {
-    ++stats_.repair_fallbacks;
-    return {util::StatusCode::kFailedPrecondition,
-            "p2sm repair: index poisoned; rebuild instead"};
-  }
-  const std::uint64_t current = b.version();
-  if (current == built_version_) {
-    return util::Status::ok();  // already fresh, nothing to replay
-  }
-  if (current < built_version_ ||
-      current - built_version_ > sched::RunQueue::kJournalCapacity) {
-    ++stats_.repair_fallbacks;
-    return {util::StatusCode::kFailedPrecondition,
-            "p2sm repair: journal cannot cover versions " +
-                std::to_string(built_version_) + ".." +
-                std::to_string(current)};
-  }
-  if (HORSE_FAULT_POINT("p2sm.repair.corrupt_delta")) {
-    // A corrupt journal entry was "applied": the snapshot can no longer be
-    // trusted, so the index poisons itself and the caller degrades to a
-    // full rebuild (which cures the poisoning).
-    poison();
-    ++stats_.repair_fallbacks;
-    return {util::StatusCode::kInternal,
-            "p2sm repair: injected corrupt journal delta (index poisoned)"};
-  }
-
-  std::uint64_t applied = 0;
-  for (std::uint64_t v = built_version_ + 1; v <= current; ++v) {
-    const sched::QueueDelta* delta = b.delta_for_version(v);
-    const bool ok =
-        delta != nullptr &&
-        (delta->kind == sched::QueueDelta::Kind::kInsert
-             ? apply_insert_delta(*delta)
-             : apply_remove_delta(*delta));
-    if (!ok) {
-      // Gap (unjournalled mutation / overwritten slot) or an entry that
-      // contradicts the snapshot. A partially replayed index is not
-      // trustworthy, so it un-builds itself; rebuild() restores it.
-      built_ = false;
-      ++stats_.repair_fallbacks;
-      return {util::StatusCode::kFailedPrecondition,
-              "p2sm repair: journal gap or contradictory entry at version " +
-                  std::to_string(v)};
-    }
-    ++applied;
-  }
-  built_version_ = current;
-
-#if defined(HORSE_DCHECK_ENABLED)
-  // Instrumented builds audit every repair; a failure here means the
-  // replay logic disagrees with the live structures, which must degrade to
-  // rebuild (the ladder contract), not abort.
-  if (util::Status audit_status = audit(a, b); !audit_status.is_ok()) {
-    poison();
-    ++stats_.repair_fallbacks;
-    return audit_status;
-  }
-#else
-  (void)a;
-#endif
-
-  ++stats_.repairs;
-  stats_.repaired_deltas += applied;
-  return util::Status::ok();
-}
-
 util::Status P2smIndex::audit(sched::VcpuList& a,
                               const sched::RunQueue& b) const {
   if (!built_) {
@@ -352,8 +146,8 @@ util::Status P2smIndex::audit(sched::VcpuList& a,
   }
 
   // Anchors monotone and in range. The flat table is kept sorted by
-  // construction, so the monotonicity check guards the repair shift logic;
-  // the range check is the live one.
+  // construction, so the monotonicity check guards insert_into_a's
+  // placement; the range check is the live one.
   AnchorIndex prev_anchor = kBeforeHead - 1;
   for (const auto& [anchor, run] : runs()) {
     if (anchor <= prev_anchor) {
@@ -568,34 +362,6 @@ util::Status P2smIndex::merge(sched::VcpuList& a, sched::RunQueue& b,
   }
   assert(total == a.size());
 
-  // Journal every spliced node as a positional insert BEFORE the splices
-  // rewrite any links (the staging walk follows A's chains). Co-resident
-  // indexes on this queue then repair() in O(runs + delta) instead of
-  // rebuilding — the mutation that used to trigger the rebuild storm.
-  // Entries are staged with plain stores and published as one release
-  // fetch_add of `total` after the splices land, so the resume path pays a
-  // single atomic RMW. A chain larger than the journal (unreachable: the
-  // paper bounds vCPUs at 36 < 64) is simply not staged; readers see the
-  // version gap and rebuild.
-  if (total <= sched::RunQueue::kJournalCapacity) {
-    std::size_t prior = 0;
-    for (const auto& [anchor, run] : runs()) {
-      util::ListHook* node = run.head;
-      for (std::size_t j = 0; j < run.count; ++j) {
-        // Final position: the anchor's own index, plus every node staged
-        // before this run, plus this run's prefix, plus one to land after
-        // the anchor. Applying the entries in version order reproduces
-        // exactly the post-splice queue.
-        const auto position = static_cast<std::int32_t>(
-            anchor + static_cast<AnchorIndex>(prior + j) + 1);
-        b.stage_delta(prior + j, sched::QueueDelta::Kind::kInsert, position,
-                      vcpu_of(node)->credit, node);
-        node = node->next;
-      }
-      prior += run.count;
-    }
-  }
-
   // Detach A's container bookkeeping first (O(1)); the nodes themselves
   // are re-linked by the splices.
   const auto chain = a.take_all();
@@ -604,7 +370,7 @@ util::Status P2smIndex::merge(sched::VcpuList& a, sched::RunQueue& b,
   executor.execute(task_buffer_);
 
   b.list().add_size(total);
-  b.publish_staged_deltas(total);
+  b.bump_version(total);
   built_ = false;  // consumed
   pos_a_.clear();
   ++stats_.merges;

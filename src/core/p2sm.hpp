@@ -19,17 +19,16 @@
 // correctness argument.
 //
 // Freshness: the index snapshots B at a specific RunQueue::version(). Any
-// structural change to B invalidates it. Maintenance is incremental first:
-// repair() replays the queue's bounded mutation journal in O(runs + delta),
-// shifting anchors and the B snapshot in place; rebuild() is the O(|A|+|B|)
-// fallback when the journal cannot cover the gap (§4.1.3: "the updates are
-// performed each time ull_runqueue is updated").
+// structural change to B makes it stale, and the one way back is
+// rebuild(), O(|A| + |B|): at pause time, and lazily in step ④ under the
+// queue lock the resume already holds (§4.1.3: "the updates are performed
+// each time ull_runqueue is updated"; DESIGN.md §5.4 has the deviation).
 //
 // Storage is allocation-free in steady state: posA is a sorted flat vector
 // whose capacity is recycled across rebuilds, and arrayB/creditsB live in
 // one SoA block (hooks then credits) that is reused and only grows
-// geometrically. A rebuild or repair at stable queue sizes touches the
-// heap zero times (asserted by the allocation-counting test hook).
+// geometrically. A rebuild at stable queue sizes touches the heap zero
+// times (asserted by the allocation-counting test hook).
 #pragma once
 
 #include <cstddef>
@@ -48,14 +47,6 @@ namespace horse::core {
 
 struct P2smStats {
   std::uint64_t rebuilds = 0;
-  /// Delta repairs that brought a stale index fresh without a rebuild.
-  std::uint64_t repairs = 0;
-  /// Repair attempts that had to decline (journal gap/overflow, position
-  /// mismatch, injected corruption, failed post-repair audit); the caller
-  /// falls back to rebuild().
-  std::uint64_t repair_fallbacks = 0;
-  /// Journal entries applied across all successful repairs.
-  std::uint64_t repaired_deltas = 0;
   std::uint64_t incremental_inserts = 0;
   std::uint64_t incremental_removes = 0;
   std::uint64_t merges = 0;
@@ -141,38 +132,20 @@ class P2smIndex {
   /// guarantee B is quiescent.
   void rebuild(sched::VcpuList& a, sched::RunQueue& b);
 
-  /// Incremental recompute: replay B's mutation journal between the built
-  /// version and the current one, shifting anchors and the B snapshot in
-  /// place — O(runs + delta) instead of O(|A| + |B|). Returns non-ok
-  /// (without repairing anything trustworthy) when the journal cannot
-  /// cover the gap: overflow, an unjournalled version bump, a position
-  /// that contradicts the snapshot, or injected corruption
-  /// (p2sm.repair.corrupt_delta, which also poisons the index). The caller
-  /// falls back to rebuild(), which cures every failure mode. Caller must
-  /// hold B's lock.
-  util::Status repair(sched::VcpuList& a, sched::RunQueue& b);
-
   /// True when the index still matches B's current structure.
   [[nodiscard]] bool fresh(const sched::RunQueue& b) const noexcept {
     return built_ && built_version_ == b.version();
   }
   [[nodiscard]] bool built() const noexcept { return built_; }
-  /// Structural mutations B went through since the index last matched it
-  /// (0 when fresh) — the number of journal entries a repair() would
-  /// replay. Meaningful only for a built index.
-  [[nodiscard]] std::uint64_t version_gap(
-      const sched::RunQueue& b) const noexcept {
-    return b.version() - built_version_;
-  }
   void invalidate() noexcept {
     built_ = false;
     pos_a_.clear();
   }
 
   /// A poisoned index is one whose precomputed structures are suspected
-  /// corrupt (detected — or injected via the p2sm.rebuild.corrupt_anchor /
-  /// p2sm.repair.corrupt_delta fault sites — during maintenance).
-  /// merge()/insert/remove/repair refuse it, the audit reports it, and the
+  /// corrupt (detected — or injected via the p2sm.rebuild.corrupt_anchor
+  /// fault site — during maintenance).
+  /// merge()/insert/remove refuse it, the audit reports it, and the
   /// next rebuild() cures it. Freshness and poisoning are orthogonal: a
   /// poisoned index may still match B's version, but it must never be
   /// trusted for an O(1) splice.
@@ -194,10 +167,10 @@ class P2smIndex {
   /// Splice all of A into B. O(#runs) splice tasks executed by `executor`
   /// (possibly in parallel), independent of |A| and |B|. On return A is
   /// empty, B is sorted and contains every former A element, and the
-  /// index is consumed (invalidated). The spliced nodes are journalled
-  /// into B as per-position inserts, so co-resident indexes on the same
-  /// queue can repair() instead of rebuilding. Caller must hold B's lock
-  /// if other threads may mutate B concurrently.
+  /// index is consumed (invalidated). B's version advances once per
+  /// spliced vCPU, so co-resident indexes on the same queue read stale
+  /// and rebuild. Caller must hold B's lock if other threads may mutate B
+  /// concurrently.
   util::Status merge(sched::VcpuList& a, sched::RunQueue& b,
                      MergeExecutor& executor);
 
@@ -211,7 +184,7 @@ class P2smIndex {
   ///     [head..tail] exactly once, in anchor order, with per-run node
   ///     counts summing to |A| and every run's nodes anchored correctly
   ///     (anchor_for(credit) == the run's anchor).
-  /// Returns the first violation. rebuild()/repair()/merge() self-audit
+  /// Returns the first violation. rebuild()/merge() self-audit
   /// under HORSE_DCHECK; release builds never pay for this.
   [[nodiscard]] util::Status audit(sched::VcpuList& a,
                                    const sched::RunQueue& b) const;
@@ -231,11 +204,10 @@ class P2smIndex {
     return {pos_a_.data(), pos_a_.size()};
   }
 
-  /// Select the credit-comparison strategy for the anchor search and the
-  /// delta-replay position searches: branchless/SIMD hybrid (default) or
-  /// the plain std:: binary searches (the E22 scalar baseline arm). Both
-  /// produce identical results on sorted input — asserted by the 1024-seed
-  /// equivalence sweep.
+  /// Select the credit-comparison strategy for the anchor search:
+  /// branchless/SIMD hybrid (default) or the plain std::upper_bound (the
+  /// E22 scalar baseline arm). Both produce identical results on sorted
+  /// input — asserted by the 1024-seed equivalence sweep.
   void set_branchless(bool branchless) noexcept { branchless_ = branchless; }
   [[nodiscard]] bool branchless() const noexcept { return branchless_; }
 
@@ -243,17 +215,10 @@ class P2smIndex {
   /// Largest index i with creditsB[i] <= credit, or kBeforeHead.
   [[nodiscard]] AnchorIndex anchor_for(sched::Credit credit) const noexcept;
 
-  /// Grow the SoA block so it can hold `needed` B entries plus repair
-  /// headroom. `preserve` keeps the live entries (repair-time growth);
-  /// rebuild passes false and refills from scratch. No-op when the block
-  /// is already big enough — the steady-state path.
-  void ensure_b_capacity(std::size_t needed, bool preserve);
-
-  /// Apply one journalled mutation to the snapshot + run table. Returns
-  /// false when the entry contradicts the index (caller declines the
-  /// whole repair and rebuilds).
-  [[nodiscard]] bool apply_insert_delta(const sched::QueueDelta& delta);
-  [[nodiscard]] bool apply_remove_delta(const sched::QueueDelta& delta);
+  /// Grow the SoA block so it can hold `needed` B entries; rebuild()
+  /// refills it from scratch. No-op when the block is already big enough
+  /// — the steady-state path.
+  void ensure_b_capacity(std::size_t needed);
 
   // B snapshot as one recycled SoA block: kBCapacity hook pointers, then
   // kBCapacity credits. Folding both arrays into a single allocation
@@ -266,9 +231,8 @@ class P2smIndex {
   sched::Credit* credits_b_ = nullptr;
 
   // Run table: sorted by anchor, capacity recycled across rebuilds. A
-  // rebuild reserves |A| entries; since runs never outnumber A nodes and
-  // A does not change during repair, repair-time splits can never exceed
-  // that capacity — vector::insert never reallocates in steady state.
+  // rebuild reserves |A| entries, and runs never outnumber A nodes, so it
+  // never reallocates at stable sizes.
   std::vector<RunEntry> pos_a_;
   std::vector<SpliceTask> task_buffer_;
   std::uint64_t built_version_ = 0;

@@ -787,7 +787,6 @@ core::ResumeDegradationStats Platform::resume_degradation_stats() const {
     total.fallback_merges += stats.fallback_merges;
     total.poisoned_index_fallbacks += stats.poisoned_index_fallbacks;
     total.merge_error_fallbacks += stats.merge_error_fallbacks;
-    total.in_place_repairs += stats.in_place_repairs;
     total.in_place_rebuilds += stats.in_place_rebuilds;
   }
   return total;

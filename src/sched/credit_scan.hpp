@@ -1,17 +1,16 @@
 // Branchless / SIMD-assisted credit comparisons for the resume hot path.
 //
-// Both the 𝒫²𝒮ℳ anchor search (upper_bound over the creditsB snapshot)
-// and the delta-replay searches over `pos_a_` sit inside merge/repair
-// windows measured in nanoseconds, where a mispredicted branch (~15
-// cycles) costs as much as the comparison loop itself. Credits arriving
-// from a just-resumed sandbox are effectively random relative to queue
-// contents, so the classic `if (mid < key)` binary search mispredicts
-// ~50% of its steps. The routines here replace that with:
+// The 𝒫²𝒮ℳ anchor search (upper_bound over the creditsB snapshot) sits
+// inside rebuild windows measured in nanoseconds, where a mispredicted
+// branch (~15 cycles) costs as much as the comparison loop itself.
+// Credits arriving from a just-resumed sandbox are effectively random
+// relative to queue contents, so the classic `if (mid < key)` binary
+// search mispredicts ~50% of its steps. The routines here replace that with:
 //
-//  * branchless_upper/lower_bound — a uniform-shape halving loop whose
-//    two updates hang off one comparison, which GCC/Clang compile to
-//    cmov; no data-dependent branches, identical results to the std::
-//    algorithms on sorted input.
+//  * branchless_upper_bound — a uniform-shape halving loop whose two
+//    updates hang off one comparison, which GCC/Clang compile to cmov; no
+//    data-dependent branches, identical results to std::upper_bound on
+//    sorted input.
 //  * simd_count_le — vectorized "how many elements <= key". On a sorted
 //    array that count IS the upper_bound index, and for the short arrays
 //    the hot path sees (a handful of runs in B) a linear SIMD count beats
@@ -48,20 +47,6 @@ template <typename T>
     n -= half;
   }
   if (n == 1 && *base <= key) ++base;
-  return static_cast<std::size_t>(base - first);
-}
-
-/// std::lower_bound(first, first + n, key) - first, on sorted input.
-template <typename T>
-[[nodiscard]] inline std::size_t branchless_lower_bound(
-    const T* first, std::size_t n, T key) noexcept {
-  const T* base = first;
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    base = (base[half - 1] < key) ? base + half : base;
-    n -= half;
-  }
-  if (n == 1 && *base < key) ++base;
   return static_cast<std::size_t>(base - first);
 }
 

@@ -11,25 +11,22 @@ namespace horse::sched {
 void RunQueue::insert_sorted(Vcpu& vcpu) noexcept {
   auto it = queue_.begin();
   const auto end = queue_.end();
-  std::int32_t position = 0;
   while (it != end && it->credit <= vcpu.credit) {
     HORSE_YIELD_POINT("runq.insert_scan");
     ++it;
-    ++position;
   }
   HORSE_YIELD_POINT("runq.insert_link");
   queue_.insert(it, vcpu);
   vcpu.state = VcpuState::kRunnable;
   vcpu.last_cpu = cpu_;
   HORSE_YIELD_POINT("runq.bump_version");
-  journal_record(QueueDelta::Kind::kInsert, position, vcpu.credit, &vcpu.hook);
+  bump_version();
   HORSE_DCHECK_OK(check_invariants(/*require_sorted=*/false));
 }
 
 std::size_t RunQueue::merge_sorted(VcpuList& incoming) noexcept {
   auto it = queue_.begin();
   const auto end = queue_.end();
-  std::int32_t position = 0;
   Credit prev_key = 0;
   bool first = true;
   std::size_t merged = 0;
@@ -41,7 +38,6 @@ std::size_t RunQueue::merge_sorted(VcpuList& incoming) noexcept {
       // Out-of-order element: restart from the head so the placement (and
       // tie order) matches what insert_sorted() would have produced.
       it = queue_.begin();
-      position = 0;
     }
     while (it != end && it->credit <= key) {
       HORSE_YIELD_POINT("runq.merge_scan");
@@ -50,14 +46,11 @@ std::size_t RunQueue::merge_sorted(VcpuList& incoming) noexcept {
       // faults).
       credit_scan::prefetch(VcpuList::from_hook(it->hook.next));
       ++it;
-      ++position;
     }
     HORSE_YIELD_POINT("runq.merge_link");
     queue_.insert(it, vcpu);
     vcpu.state = VcpuState::kRunnable;
     vcpu.last_cpu = cpu_;
-    stage_delta(merged, QueueDelta::Kind::kInsert, position, key, &vcpu.hook);
-    ++position;  // the inserted node now precedes `it`
     prev_key = key;
     first = false;
     ++merged;
@@ -65,7 +58,7 @@ std::size_t RunQueue::merge_sorted(VcpuList& incoming) noexcept {
 
   if (merged > 0) {
     HORSE_YIELD_POINT("runq.bump_version");
-    publish_staged_deltas(merged);
+    bump_version(merged);
   }
   HORSE_DCHECK_OK(check_invariants(/*require_sorted=*/false));
   return merged;
@@ -73,19 +66,17 @@ std::size_t RunQueue::merge_sorted(VcpuList& incoming) noexcept {
 
 void RunQueue::push_back(Vcpu& vcpu) noexcept {
   HORSE_YIELD_POINT("runq.push_back");
-  const auto position = static_cast<std::int32_t>(queue_.size());
   queue_.push_back(vcpu);
   vcpu.state = VcpuState::kRunnable;
   vcpu.last_cpu = cpu_;
-  journal_record(QueueDelta::Kind::kInsert, position, vcpu.credit, &vcpu.hook);
+  bump_version();
   HORSE_DCHECK_OK(check_invariants(/*require_sorted=*/false));
 }
 
 void RunQueue::remove(Vcpu& vcpu) noexcept {
   HORSE_YIELD_POINT("runq.remove");
   queue_.erase(vcpu);
-  journal_record(QueueDelta::Kind::kRemove, QueueDelta::kUnknownPosition,
-                 vcpu.credit, &vcpu.hook);
+  bump_version();
   HORSE_DCHECK_OK(check_invariants(/*require_sorted=*/false));
 }
 
@@ -95,7 +86,7 @@ Vcpu* RunQueue::pop_front() noexcept {
   }
   HORSE_YIELD_POINT("runq.pop_front");
   Vcpu& vcpu = queue_.pop_front();
-  journal_record(QueueDelta::Kind::kRemove, 0, vcpu.credit, &vcpu.hook);
+  bump_version();
   HORSE_DCHECK_OK(check_invariants(/*require_sorted=*/false));
   return &vcpu;
 }

@@ -12,7 +12,6 @@
 // ull_runqueue is updated").
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 
@@ -23,28 +22,6 @@
 #include "util/status.hpp"
 
 namespace horse::sched {
-
-/// One journalled structural mutation. Carries exactly what 𝒫²𝒮ℳ's delta
-/// repair needs to mirror the change into a stale index without re-walking
-/// the queue: the post-mutation position of the affected element, its
-/// credit, and the hook identity (§4.1.3 maintenance off the resume path).
-struct QueueDelta {
-  enum class Kind : std::uint8_t { kInsert, kRemove };
-
-  /// The mutator did not know the element's index (remove-by-node); the
-  /// repairer resolves it from (credit, hook) against its own snapshot.
-  static constexpr std::int32_t kUnknownPosition = -1;
-
-  /// The queue version this entry produced. A slot whose version does not
-  /// match the probe is stale (overwritten by a later mutation) or was
-  /// never written (an unjournalled bump_version()); either way the reader
-  /// must fall back to a full rebuild.
-  std::uint64_t version = 0;
-  Kind kind = Kind::kInsert;
-  std::int32_t position = kUnknownPosition;
-  Credit credit = 0;
-  util::ListHook* hook = nullptr;
-};
 
 class RunQueue {
  public:
@@ -68,8 +45,8 @@ class RunQueue {
   /// non-decreasing (the common case — merge lists are kept sorted) and
   /// restarting from the head only on an out-of-order element. Element-
   /// for-element equivalent to calling insert_sorted() on each vCPU in
-  /// list order — same final ordering, same journal positions — but with
-  /// one journal publish, software prefetch of the next node, and no
+  /// list order — same final ordering, same version advance — but with
+  /// one version publish, software prefetch of the next node, and no
   /// per-element lock traffic. Returns the number of vCPUs merged.
   std::size_t merge_sorted(VcpuList& incoming) noexcept;
 
@@ -152,69 +129,20 @@ class RunQueue {
     return version_.load(std::memory_order_acquire);
   }
 
-  /// Advance the version WITHOUT journalling the mutation. Every structural
-  /// mutator journals internally; this exists for callers that change the
-  /// queue in ways the journal cannot express (test-injected foreign
-  /// mutations, index invalidation). Repairers observing the resulting gap
-  /// fall back to a full rebuild — that is the intended contract.
-  void bump_version() noexcept {
-    version_.fetch_add(1, std::memory_order_acq_rel);
-  }
-
-  // --- mutation journal (caller holds lock()) -----------------------------
-  //
-  // A fixed ring of the last kJournalCapacity structural mutations, keyed
-  // by the version each produced. 𝒫²𝒮ℳ repair replays the entries between
-  // its built version and the current one; a missing or overwritten entry
-  // (ring wrapped, or an unjournalled bump_version()) reads as a gap and
-  // forces the rebuild fallback. Slots are written before the version that
-  // names them is published, so any reader that observes version v under
-  // the queue lock can trust a slot whose version field equals v.
-
-  static constexpr std::size_t kJournalCapacity = 64;
-
-  /// The journal entry that produced `version`, or nullptr when it has
-  /// been overwritten / was never journalled.
-  [[nodiscard]] const QueueDelta* delta_for_version(
-      std::uint64_t version) const noexcept {
-    const QueueDelta& slot = journal_[version % kJournalCapacity];
-    return slot.version == version ? &slot : nullptr;
-  }
-
-  /// Batch journalling for 𝒫²𝒮ℳ merge splices: stage the entry for version
-  /// version()+1+offset with plain stores, then publish the whole batch
-  /// with one release fetch_add via publish_staged_deltas(count). Avoids
-  /// one atomic RMW per spliced vCPU on the resume path.
-  void stage_delta(std::size_t offset, QueueDelta::Kind kind,
-                   std::int32_t position, Credit credit,
-                   util::ListHook* hook) noexcept {
-    const std::uint64_t v =
-        version_.load(std::memory_order_relaxed) + 1 + offset;
-    QueueDelta& slot = journal_[v % kJournalCapacity];
-    slot.version = v;
-    slot.kind = kind;
-    slot.position = position;
-    slot.credit = credit;
-    slot.hook = hook;
-  }
-
-  void publish_staged_deltas(std::size_t count) noexcept {
+  /// Advance the version by `count` for a change made outside the
+  /// mutators above: a 𝒫²𝒮ℳ merge splices vCPUs in through list() and
+  /// advances it once per spliced vCPU, and credit2 advances it once after
+  /// it shifts every credit on the queue. Either way each index built at
+  /// the old version reads stale, and step ④ rebuilds it.
+  void bump_version(std::uint64_t count = 1) noexcept {
     version_.fetch_add(count, std::memory_order_acq_rel);
   }
 
  private:
-  /// Stage + publish a single mutation (the common mutator path).
-  void journal_record(QueueDelta::Kind kind, std::int32_t position,
-                      Credit credit, util::ListHook* hook) noexcept {
-    stage_delta(0, kind, position, credit, hook);
-    publish_staged_deltas(1);
-  }
-
   CpuId cpu_;
   util::Spinlock lock_;
   VcpuList queue_;
   std::atomic<std::uint64_t> version_{0};
-  std::array<QueueDelta, kJournalCapacity> journal_{};
 
   // The DVFS-relevant load variable with its own lock, as described in
   // §1/§3.1: "the update of a lock-protected variable, which represents

@@ -1,7 +1,7 @@
 // Counting global operator new/delete replacement.
 //
 // NOT a member of horse_util: only targets that assert allocation
-// behaviour (tests/core/p2sm_alloc_test.cpp, bench/abl_p2sm_maintenance)
+// behaviour (tests/core/p2sm_alloc_test.cpp, bench/fig3_resume_time)
 // compile this TU into their own sources, which replaces the global
 // operators binary-wide for that target. Every variant funnels through
 // malloc/free (aligned_alloc for over-aligned requests) and bumps the

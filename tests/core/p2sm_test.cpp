@@ -315,9 +315,8 @@ TEST_F(P2smTest, MemoryFootprintTracksStructures) {
   index_.rebuild(a_, b_);
   const std::size_t bytes = index_.memory_bytes();
   EXPECT_GT(bytes, 0u);
-  // The B-snapshot arena pre-reserves kJournalCapacity slack slots so
-  // steady-state repair never allocates: 5 entries round up to a 128-slot
-  // arena (2 KiB) plus the one-run table — comfortably under 4 KiB.
+  // The B-snapshot arena starts at 64 slots (1 KiB for 5 entries) plus
+  // the one-run table and splice buffer — comfortably under 4 KiB.
   EXPECT_LT(bytes, 4096u);
 }
 
@@ -368,214 +367,10 @@ TEST_F(P2smTest, RandomisedMergeMatchesStdMerge) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Delta repair: replay B's mutation journal instead of rebuilding.
-// ---------------------------------------------------------------------------
-
-TEST_F(P2smTest, RepairOnFreshIndexIsNoOp) {
-  add_to_b({10, 20});
-  add_to_a({15});
-  index_.rebuild(a_, b_);
-  ASSERT_TRUE(index_.repair(a_, b_).is_ok());
-  EXPECT_EQ(index_.stats().repairs, 0u);
-  EXPECT_EQ(index_.stats().repair_fallbacks, 0u);
-  EXPECT_TRUE(index_.fresh(b_));
-}
-
-TEST_F(P2smTest, RepairOnUnbuiltIndexDeclines) {
-  add_to_b({10});
-  const util::Status status = index_.repair(a_, b_);
-  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(index_.built());
-}
-
-TEST_F(P2smTest, RepairAfterInsertBringsIndexFresh) {
-  add_to_b({10, 30});
-  add_to_a({5, 25, 35});
-  index_.rebuild(a_, b_);
-  // Foreign insert into B at position 1 (between 10 and 30).
-  {
-    util::LockGuard guard(b_.lock());
-    b_.insert_sorted(make_vcpu(20));
-  }
-  ASSERT_FALSE(index_.fresh(b_));
-  ASSERT_TRUE(index_.repair(a_, b_).is_ok());
-  EXPECT_TRUE(index_.fresh(b_));
-  EXPECT_EQ(index_.array_b_size(), 3u);
-  EXPECT_EQ(index_.stats().repairs, 1u);
-  EXPECT_EQ(index_.stats().repaired_deltas, 1u);
-  EXPECT_EQ(index_.stats().rebuilds, 1u);
-  EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
-  expect_merged({5, 10, 20, 25, 30, 35});
-}
-
-TEST_F(P2smTest, RepairInsertReanchorsWholeRun) {
-  add_to_b({10, 30});
-  add_to_a({15, 16, 35});
-  index_.rebuild(a_, b_);
-  ASSERT_TRUE(index_.runs().contains(0));
-  ASSERT_EQ(index_.runs().at(0).count, 2u);
-  // Insert 12 at position 1: both 15 and 16 now belong after it, so the
-  // whole run re-anchors from 0 to 1; the tail run shifts from 1 to 2.
-  {
-    util::LockGuard guard(b_.lock());
-    b_.insert_sorted(make_vcpu(12));
-  }
-  ASSERT_TRUE(index_.repair(a_, b_).is_ok());
-  const auto runs = index_.runs();
-  ASSERT_TRUE(runs.contains(1));
-  EXPECT_EQ(runs.at(1).count, 2u);
-  ASSERT_TRUE(runs.contains(2));
-  EXPECT_EQ(runs.at(2).count, 1u);
-  EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
-  expect_merged({10, 12, 15, 16, 30, 35});
-}
-
-TEST_F(P2smTest, RepairInsertSplitsRunAtInsertionPoint) {
-  add_to_b({10, 30});
-  add_to_a({12, 20});
-  index_.rebuild(a_, b_);
-  ASSERT_EQ(index_.run_count(), 1u);
-  ASSERT_EQ(index_.runs().at(0).count, 2u);
-  // Insert 15 at position 1: it lands in the middle of the {12, 20} run —
-  // 12 stays anchored at B[0]=10, 20 re-anchors after the new B[1]=15.
-  {
-    util::LockGuard guard(b_.lock());
-    b_.insert_sorted(make_vcpu(15));
-  }
-  ASSERT_TRUE(index_.repair(a_, b_).is_ok());
-  const auto runs = index_.runs();
-  ASSERT_EQ(runs.size(), 2u);
-  ASSERT_TRUE(runs.contains(0));
-  EXPECT_EQ(runs.at(0).count, 1u);
-  ASSERT_TRUE(runs.contains(1));
-  EXPECT_EQ(runs.at(1).count, 1u);
-  EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
-  expect_merged({10, 12, 15, 20, 30});
-}
-
-TEST_F(P2smTest, RepairAfterRemoveMergesAdjacentRuns) {
-  add_to_b({10, 20, 30});
-  add_to_a({15, 25});
-  sched::Vcpu& middle = *storage_[1];  // the B vcpu with credit 20
-  ASSERT_EQ(middle.credit, 20);
-  index_.rebuild(a_, b_);
-  ASSERT_EQ(index_.run_count(), 2u);
-  {
-    util::LockGuard guard(b_.lock());
-    b_.remove(middle);
-  }
-  ASSERT_TRUE(index_.repair(a_, b_).is_ok());
-  // {15} anchored after B[0] and {25} anchored after removed B[1] fuse
-  // into one run {15, 25} anchored after B[0]=10.
-  const auto runs = index_.runs();
-  ASSERT_EQ(runs.size(), 1u);
-  ASSERT_TRUE(runs.contains(0));
-  EXPECT_EQ(runs.at(0).count, 2u);
-  EXPECT_EQ(index_.array_b_size(), 2u);
-  EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
-  expect_merged({10, 15, 25, 30});
-}
-
-TEST_F(P2smTest, RepairAfterPopFrontReanchorsToBeforeHead) {
-  add_to_b({10, 20});
-  add_to_a({5, 15});
-  index_.rebuild(a_, b_);
-  {
-    util::LockGuard guard(b_.lock());
-    ASSERT_NE(b_.pop_front(), nullptr);  // removes 10
-  }
-  ASSERT_TRUE(index_.repair(a_, b_).is_ok());
-  // {15} was anchored after the popped head; it re-anchors before-head and
-  // fuses with the {5} run.
-  const auto runs = index_.runs();
-  ASSERT_EQ(runs.size(), 1u);
-  ASSERT_TRUE(runs.contains(P2smIndex::kBeforeHead));
-  EXPECT_EQ(runs.at(P2smIndex::kBeforeHead).count, 2u);
-  EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
-  expect_merged({5, 15, 20});
-}
-
-TEST_F(P2smTest, RepairReplaysMultipleDeltasInOrder) {
-  add_to_b({10, 40});
-  add_to_a({5, 30});
-  index_.rebuild(a_, b_);
-  sched::Vcpu& twenty = make_vcpu(20);
-  {
-    util::LockGuard guard(b_.lock());
-    b_.insert_sorted(twenty);         // v+1
-    b_.insert_sorted(make_vcpu(35));  // v+2
-    b_.remove(twenty);                // v+3
-  }
-  ASSERT_TRUE(index_.repair(a_, b_).is_ok());
-  EXPECT_EQ(index_.stats().repairs, 1u);
-  EXPECT_EQ(index_.stats().repaired_deltas, 3u);
-  EXPECT_EQ(index_.array_b_size(), 3u);
-  EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
-  expect_merged({5, 10, 30, 35, 40});
-}
-
-TEST_F(P2smTest, RepairDeclinesOnJournalOverflow) {
-  add_to_b({10});
-  add_to_a({5});
-  index_.rebuild(a_, b_);
-  // More mutations than the journal ring holds: the oldest entries are
-  // overwritten, so the gap is uncoverable.
-  sched::Vcpu& churn = make_vcpu(50);
-  {
-    util::LockGuard guard(b_.lock());
-    for (std::size_t i = 0; i <= sched::RunQueue::kJournalCapacity / 2; ++i) {
-      b_.insert_sorted(churn);
-      b_.remove(churn);
-    }
-  }
-  const util::Status status = index_.repair(a_, b_);
-  EXPECT_FALSE(status.is_ok());
-  EXPECT_EQ(index_.stats().repair_fallbacks, 1u);
-  EXPECT_EQ(index_.stats().repairs, 0u);
-  // The documented fallback cures it.
-  index_.rebuild(a_, b_);
-  EXPECT_TRUE(index_.fresh(b_));
-  EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-}
-
-TEST_F(P2smTest, RepairDeclinesOnUnjournalledVersionBump) {
-  add_to_b({10});
-  add_to_a({5});
-  index_.rebuild(a_, b_);
-  b_.bump_version();  // foreign mutation: no journal entry
-  const util::Status status = index_.repair(a_, b_);
-  EXPECT_FALSE(status.is_ok());
-  EXPECT_EQ(index_.stats().repair_fallbacks, 1u);
-  EXPECT_FALSE(index_.built());  // repair declined mid-flight; not trusted
-  index_.rebuild(a_, b_);
-  EXPECT_TRUE(index_.fresh(b_));
-}
-
-TEST_F(P2smTest, RepairDeclinesOnContradictoryDelta) {
-  add_to_b({10, 20});
-  add_to_a({5});
-  index_.rebuild(a_, b_);
-  // Forge a journal entry whose position contradicts the snapshot.
-  sched::Vcpu& bogus = make_vcpu(15);
-  b_.stage_delta(0, sched::QueueDelta::Kind::kInsert, /*position=*/99,
-                 bogus.credit, &bogus.hook);
-  b_.publish_staged_deltas(1);
-  const util::Status status = index_.repair(a_, b_);
-  EXPECT_FALSE(status.is_ok());
-  EXPECT_EQ(index_.stats().repair_fallbacks, 1u);
-}
-
-TEST_F(P2smTest, MergeJournalsSplicesSoCoResidentIndexRepairs) {
+TEST_F(P2smTest, MergeStalesCoResidentIndexWhichRebuilds) {
   // Two paused sandboxes indexed against the same queue: the first one's
-  // merge must leave a journal the second can repair from, instead of
-  // forcing an O(|A|+|B|) rebuild (the rebuild storm this PR kills).
+  // merge advances the queue's version once per spliced vCPU, so the
+  // second index reads stale and must be rebuilt before it may splice.
   add_to_b({10, 40});
   add_to_a({5, 20, 50});
 
@@ -591,12 +386,13 @@ TEST_F(P2smTest, MergeJournalsSplicesSoCoResidentIndexRepairs) {
   other_index.rebuild(other_a, b_);
   index_.rebuild(a_, b_);
 
+  const std::uint64_t before = b_.version();
   ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  EXPECT_EQ(b_.version(), before + 3);  // one per spliced vCPU
   ASSERT_FALSE(other_index.fresh(b_));
-  ASSERT_TRUE(other_index.repair(other_a, b_).is_ok());
+  EXPECT_FALSE(other_index.merge(other_a, b_, executor_).is_ok());
+  other_index.rebuild(other_a, b_);
   EXPECT_TRUE(other_index.fresh(b_));
-  EXPECT_EQ(other_index.stats().repairs, 1u);
-  EXPECT_EQ(other_index.stats().repaired_deltas, 3u);  // one per spliced vCPU
   EXPECT_TRUE(other_index.audit(other_a, b_).is_ok());
 
   ASSERT_TRUE(other_index.merge(other_a, b_, executor_).is_ok());

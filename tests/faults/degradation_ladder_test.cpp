@@ -59,8 +59,8 @@ TEST_F(FaultLadderTest, StaleIndexIsRebuiltInPlaceAndSplicedFast) {
   ASSERT_TRUE(engine.pause(*sandbox).is_ok());
 
   {
-    // The injected foreign mutation un-builds the index, so no journal
-    // replay can cover it: step ④ rebuilds in place, then splices.
+    // The injected foreign mutation un-builds the index: step ④
+    // rebuilds it in place, then splices.
     auto fault = ScopedFault::nth("horse.resume.stale_index", 1);
     ASSERT_TRUE(engine.resume(*sandbox).is_ok());
   }
@@ -77,7 +77,6 @@ TEST_F(FaultLadderTest, StaleIndexIsRebuiltInPlaceAndSplicedFast) {
   EXPECT_EQ(stats.fallback_merges, 0u);
   EXPECT_EQ(stats.poisoned_index_fallbacks, 0u);
   EXPECT_EQ(stats.in_place_rebuilds, 1u);
-  EXPECT_EQ(stats.in_place_repairs, 0u);
 
   // The fault fired once; the next cycle's index is fresh at resume.
   ASSERT_TRUE(engine.pause(*sandbox).is_ok());
@@ -106,7 +105,7 @@ TEST_F(FaultLadderTest, PoisonedIndexFallsBackToVanillaMerge) {
   const core::ResumeDegradationStats stats = engine.degradation_stats();
   EXPECT_EQ(stats.fallback_merges, 1u);
   EXPECT_EQ(stats.poisoned_index_fallbacks, 1u);
-  EXPECT_EQ(stats.in_place_repairs + stats.in_place_rebuilds, 0u);
+  EXPECT_EQ(stats.in_place_rebuilds, 0u);
 
   // A clean pause rebuilds a healthy index: fast path restored.
   ASSERT_TRUE(engine.pause(*sandbox).is_ok());

@@ -37,22 +37,6 @@ TEST(CreditScanTest, BranchlessUpperBoundMatchesStd) {
   }
 }
 
-TEST(CreditScanTest, BranchlessLowerBoundMatchesStd) {
-  std::mt19937_64 rng(43);
-  for (std::size_t n : {0u, 1u, 2u, 3u, 7u, 31u, 32u, 33u, 64u, 200u}) {
-    for (int trial = 0; trial < 50; ++trial) {
-      const auto values = random_sorted(rng, n, -50, 50);
-      std::uniform_int_distribution<std::int64_t> key_dist(-60, 60);
-      const std::int64_t key = key_dist(rng);
-      const auto expected = static_cast<std::size_t>(
-          std::lower_bound(values.begin(), values.end(), key) -
-          values.begin());
-      EXPECT_EQ(branchless_lower_bound(values.data(), n, key), expected)
-          << "n=" << n << " key=" << key;
-    }
-  }
-}
-
 TEST(CreditScanTest, SimdCountLeMatchesCountIf) {
   // count_le is order-free; feed it unsorted arrays, odd lengths included
   // so every SIMD tail path runs.
@@ -103,15 +87,9 @@ TEST(CreditScanTest, AllEqualArray) {
   EXPECT_EQ(branchless_upper_bound(values.data(), values.size(),
                                    std::int64_t{7}),
             values.size());
-  EXPECT_EQ(branchless_lower_bound(values.data(), values.size(),
-                                   std::int64_t{7}),
-            0u);
   EXPECT_EQ(branchless_upper_bound(values.data(), values.size(),
                                    std::int64_t{6}),
             0u);
-  EXPECT_EQ(branchless_lower_bound(values.data(), values.size(),
-                                   std::int64_t{8}),
-            values.size());
   EXPECT_EQ(credit_upper_bound(values.data(), values.size(), 7),
             values.size());
 }

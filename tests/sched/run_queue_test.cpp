@@ -94,6 +94,11 @@ TEST(RunQueueTest, VersionBumpsOnEveryMutation) {
   EXPECT_GT(v1, v0);
   queue.remove(a);
   EXPECT_GT(queue.version(), v1);
+  // A change made outside the mutators (a 𝒫²𝒮ℳ splice of n vCPUs)
+  // advances the version by its count.
+  const auto v2 = queue.version();
+  queue.bump_version(3);
+  EXPECT_EQ(queue.version(), v2 + 3);
 }
 
 TEST(RunQueueTest, LoadUpdateEnqueueAppliesAffineMap) {
@@ -149,163 +154,6 @@ TEST(RunQueueTest, RandomInsertionsStaySorted) {
   }
   EXPECT_TRUE(queue.is_sorted());
   EXPECT_EQ(queue.size(), 200u);
-}
-
-// ---------------------------------------------------------------------------
-// Mutation journal: every structural mutator records a QueueDelta keyed by
-// the version it produced, so 𝒫²𝒮ℳ repair can replay the gap between a
-// stale index and the live queue.
-// ---------------------------------------------------------------------------
-
-TEST(RunQueueJournalTest, InsertSortedJournalsPositionCreditHook) {
-  RunQueue queue(0);
-  Vcpu a, b, c;
-  a.credit = 20;
-  b.credit = 10;
-  c.credit = 30;
-  queue.insert_sorted(a);  // -> position 0, version 1
-  queue.insert_sorted(b);  // -> position 0 (before a), version 2
-  queue.insert_sorted(c);  // -> position 2 (tail), version 3
-  EXPECT_EQ(queue.version(), 3u);
-
-  const QueueDelta* d1 = queue.delta_for_version(1);
-  ASSERT_NE(d1, nullptr);
-  EXPECT_EQ(d1->kind, QueueDelta::Kind::kInsert);
-  EXPECT_EQ(d1->position, 0);
-  EXPECT_EQ(d1->credit, 20);
-  EXPECT_EQ(d1->hook, &a.hook);
-
-  const QueueDelta* d2 = queue.delta_for_version(2);
-  ASSERT_NE(d2, nullptr);
-  EXPECT_EQ(d2->position, 0);
-  EXPECT_EQ(d2->credit, 10);
-  EXPECT_EQ(d2->hook, &b.hook);
-
-  const QueueDelta* d3 = queue.delta_for_version(3);
-  ASSERT_NE(d3, nullptr);
-  EXPECT_EQ(d3->position, 2);
-  EXPECT_EQ(d3->hook, &c.hook);
-}
-
-TEST(RunQueueJournalTest, EqualCreditInsertJournalsAfterExisting) {
-  RunQueue queue(0);
-  Vcpu first, second;
-  first.credit = 10;
-  second.credit = 10;
-  queue.insert_sorted(first);
-  queue.insert_sorted(second);
-  // FIFO among equals: the new element links after the existing one, and
-  // the journalled position reflects that.
-  const QueueDelta* delta = queue.delta_for_version(2);
-  ASSERT_NE(delta, nullptr);
-  EXPECT_EQ(delta->position, 1);
-  EXPECT_EQ(delta->hook, &second.hook);
-}
-
-TEST(RunQueueJournalTest, PushBackJournalsTailPosition) {
-  RunQueue queue(0);
-  Vcpu a, b;
-  a.credit = 1;
-  b.credit = 2;
-  queue.push_back(a);
-  queue.push_back(b);
-  const QueueDelta* d1 = queue.delta_for_version(1);
-  const QueueDelta* d2 = queue.delta_for_version(2);
-  ASSERT_NE(d1, nullptr);
-  ASSERT_NE(d2, nullptr);
-  EXPECT_EQ(d1->position, 0);
-  EXPECT_EQ(d2->position, 1);
-  EXPECT_EQ(d2->kind, QueueDelta::Kind::kInsert);
-}
-
-TEST(RunQueueJournalTest, RemoveJournalsUnknownPositionWithHookIdentity) {
-  RunQueue queue(0);
-  Vcpu a, b;
-  a.credit = 1;
-  b.credit = 2;
-  queue.insert_sorted(a);
-  queue.insert_sorted(b);
-  queue.remove(a);
-  const QueueDelta* delta = queue.delta_for_version(queue.version());
-  ASSERT_NE(delta, nullptr);
-  EXPECT_EQ(delta->kind, QueueDelta::Kind::kRemove);
-  // remove() does not walk the queue to find the index; the repairer
-  // resolves it from (credit, hook).
-  EXPECT_EQ(delta->position, QueueDelta::kUnknownPosition);
-  EXPECT_EQ(delta->credit, 1);
-  EXPECT_EQ(delta->hook, &a.hook);
-}
-
-TEST(RunQueueJournalTest, PopFrontJournalsHeadRemoval) {
-  RunQueue queue(0);
-  Vcpu a, b;
-  a.credit = 1;
-  b.credit = 2;
-  queue.insert_sorted(a);
-  queue.insert_sorted(b);
-  EXPECT_EQ(queue.pop_front(), &a);
-  const QueueDelta* delta = queue.delta_for_version(queue.version());
-  ASSERT_NE(delta, nullptr);
-  EXPECT_EQ(delta->kind, QueueDelta::Kind::kRemove);
-  EXPECT_EQ(delta->position, 0);
-  EXPECT_EQ(delta->hook, &a.hook);
-}
-
-TEST(RunQueueJournalTest, RingOverwritesEntriesOlderThanCapacity) {
-  // Storage outlives the queue: the queue's destructor unlinks the hooks.
-  std::vector<std::unique_ptr<Vcpu>> storage;
-  RunQueue queue(0);
-  const std::size_t total = RunQueue::kJournalCapacity + 5;
-  for (std::size_t i = 0; i < total; ++i) {
-    auto vcpu = std::make_unique<Vcpu>();
-    vcpu->credit = static_cast<Credit>(i);
-    queue.push_back(*vcpu);
-    storage.push_back(std::move(vcpu));
-  }
-  // The first 5 versions were overwritten by the wrap; the most recent
-  // kJournalCapacity versions are all still resolvable.
-  for (std::uint64_t v = 1; v <= 5; ++v) {
-    EXPECT_EQ(queue.delta_for_version(v), nullptr) << "version " << v;
-  }
-  for (std::uint64_t v = 6; v <= total; ++v) {
-    ASSERT_NE(queue.delta_for_version(v), nullptr) << "version " << v;
-    EXPECT_EQ(queue.delta_for_version(v)->position,
-              static_cast<std::int32_t>(v - 1));
-  }
-}
-
-TEST(RunQueueJournalTest, BumpVersionLeavesResolvableGap) {
-  RunQueue queue(0);
-  Vcpu a;
-  a.credit = 5;
-  queue.insert_sorted(a);
-  queue.bump_version();  // foreign mutation: journalled by nobody
-  EXPECT_EQ(queue.version(), 2u);
-  EXPECT_NE(queue.delta_for_version(1), nullptr);
-  // The gap reads as "entry missing", which forces the rebuild fallback.
-  EXPECT_EQ(queue.delta_for_version(2), nullptr);
-}
-
-TEST(RunQueueJournalTest, StagedBatchPublishesAtomically) {
-  RunQueue queue(0);
-  Vcpu a, b, c;
-  a.credit = 1;
-  b.credit = 2;
-  c.credit = 3;
-  // The 𝒫²𝒮ℳ merge path: stage every spliced node with plain stores,
-  // publish the whole batch with one release fetch_add.
-  queue.stage_delta(0, QueueDelta::Kind::kInsert, 0, a.credit, &a.hook);
-  queue.stage_delta(1, QueueDelta::Kind::kInsert, 1, b.credit, &b.hook);
-  queue.stage_delta(2, QueueDelta::Kind::kInsert, 2, c.credit, &c.hook);
-  EXPECT_EQ(queue.version(), 0u);  // nothing visible before publish
-  queue.publish_staged_deltas(3);
-  EXPECT_EQ(queue.version(), 3u);
-  for (std::uint64_t v = 1; v <= 3; ++v) {
-    const QueueDelta* delta = queue.delta_for_version(v);
-    ASSERT_NE(delta, nullptr) << "version " << v;
-    EXPECT_EQ(delta->position, static_cast<std::int32_t>(v - 1));
-    EXPECT_EQ(delta->credit, static_cast<Credit>(v));
-  }
 }
 
 }  // namespace
