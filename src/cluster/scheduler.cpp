@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "util/fault_injection.hpp"
+#include "util/yield_point.hpp"
 
 namespace horse::cluster {
 
@@ -264,6 +265,10 @@ void ClusterScheduler::dispatch(faas::Submission task) {
   const RouteDecision route = router_.route(
       task.function, [this](HostId id) { return hosts_[id]->healthy(); },
       [&](HostId id) { return hosts_[id]->snapshot(task.function, want_warm); });
+  // The sweep's declare-dead takes dispatch_mutex_ too, so a host chosen
+  // here cannot be declared dead (and have its queue stolen) before the
+  // submit below lands.
+  HORSE_YIELD_POINT("cluster.dispatch.routed");
   Host& chosen = *hosts_[route.host];
   if (route.forced) {
     // No healthy host: force-recover the router's pick. The stall model
@@ -317,7 +322,17 @@ void ClusterScheduler::redispatch_backlog(
 
 void ClusterScheduler::declare_dead_locked(Host& host, util::Nanos now) {
   hosts_declared_dead_.fetch_add(1, std::memory_order_relaxed);
-  host.mark_dead();
+  std::vector<faas::Submission> backlog;
+  {
+    // Under the dispatch lock (health → dispatch, the existing order), so
+    // a dispatch that already routed to this host finishes its submit
+    // before the steal, and every later one sees the host out of rotation.
+    // Nothing would steal a task queued after the steal: a dead host's
+    // workers stay parked until it rejoins.
+    std::lock_guard lock(dispatch_mutex_);
+    host.mark_dead();
+    backlog = host.dispatcher().steal_pending();
+  }
   const util::Nanos crashed_at = host.crashed_at();
   if (crashed_at != 0 && now > crashed_at) {
     last_detection_latency_.store(now - crashed_at,
@@ -325,7 +340,7 @@ void ClusterScheduler::declare_dead_locked(Host& host, util::Nanos now) {
   }
   // Queued backlog first: these never started, so plain exactly-once
   // re-dispatch (same as the stall path) covers them.
-  redispatch_backlog(host.dispatcher().steal_pending());
+  redispatch_backlog(std::move(backlog));
   // In-flight orphans: the dispatcher always finishes a dequeued task, so
   // each of these WILL surface a late (zombie) completion. The ledger
   // adopts the key and a copy is re-dispatched — drain() keeps whichever

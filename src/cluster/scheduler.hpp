@@ -325,8 +325,9 @@ class ClusterScheduler {
   /// the way back in.
   void redispatch_backlog(std::vector<faas::Submission> backlog);
   /// Declared-death side effects (health_mutex_ held): mark the host
-  /// dead, steal its backlog + in-flight set, re-dispatch the orphans the
-  /// ledger adopts.
+  /// dead and steal its backlog under dispatch_mutex_, then steal its
+  /// in-flight set and re-dispatch the backlog and the orphans the ledger
+  /// adopts.
   void declare_dead_locked(Host& host, util::Nanos now);
   /// Successful half-open probe (health_mutex_ held): rehydrate warm
   /// pools, then return the host to rotation.

@@ -7,14 +7,95 @@
 
 namespace horse::vmm {
 
+namespace {
+
+// xxHash64's primes: P1 and P2 are odd, so multiplying by them is a
+// bijection on 64-bit words.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+constexpr std::uint64_t rotl(std::uint64_t x, int r) noexcept {
+  return (x << r) | (x >> (64 - r));
+}
+
+// Bijective in `acc` for a fixed word and in `word` for a fixed acc. The
+// rotate moves bit 63 of the sum down before the multiply, so flips of the
+// top bit in two words of one lane do not cancel (they would under a plain
+// `(acc ^ w) * p`).
+constexpr std::uint64_t round(std::uint64_t acc, std::uint64_t word) noexcept {
+  return rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+// Folds one more value into the running hash; bijective in both arguments.
+constexpr std::uint64_t fold(std::uint64_t hash, std::uint64_t value) noexcept {
+  return (hash ^ round(0, value)) * kPrime1 + kPrime4;
+}
+
+std::uint64_t load_word(const std::byte* p) noexcept {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+}  // namespace
+
 std::uint64_t SnapshotManager::compute_checksum(
     const std::vector<std::byte>& image) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::byte b : image) {
-    hash ^= static_cast<std::uint64_t>(b);
-    hash *= 0x100000001b3ULL;
+  // Four independent lanes of 8-byte words, so the multiply chains overlap
+  // instead of serialising on one accumulator. Every step from a word to
+  // the result is a bijection while the rest of the image is fixed, so a
+  // change confined to one aligned word (or one tail byte) always changes
+  // the checksum.
+  const std::byte* p = image.data();
+  const std::size_t n = image.size();
+  const std::byte* const stripes_end = p + (n & ~std::size_t{31});
+  std::uint64_t lane[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+  for (; p != stripes_end; p += 32) {
+    lane[0] = round(lane[0], load_word(p));
+    lane[1] = round(lane[1], load_word(p + 8));
+    lane[2] = round(lane[2], load_word(p + 16));
+    lane[3] = round(lane[3], load_word(p + 24));
   }
+  std::uint64_t hash = kPrime5;
+  for (const std::uint64_t acc : lane) {
+    hash = fold(hash, acc);
+  }
+  const std::byte* const end = image.data() + n;
+  for (; end - p >= 8; p += 8) {
+    hash = fold(hash, load_word(p));
+  }
+  for (; p != end; ++p) {
+    hash = rotl(hash ^ (static_cast<std::uint64_t>(*p) * kPrime5), 11) *
+           kPrime1;
+  }
+  hash += n;
+  // Avalanche, so nearby images spread over the whole 64 bits.
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
   return hash;
+}
+
+util::Status SnapshotManager::verify(const Snapshot& snapshot) {
+  // Integrity gate: refuse an image whose checksum drifted from the one
+  // recorded at take() time. The fault site flips the computed value —
+  // equivalent to a single corrupted byte without damaging the caller's
+  // snapshot object.
+  std::uint64_t computed = compute_checksum(snapshot.memory_image);
+  if (HORSE_FAULT_POINT("snapshot.restore.corrupt")) {
+    computed = ~computed;
+  }
+  if (computed != snapshot.checksum) {
+    return util::Status{util::StatusCode::kInternal,
+                        "restore: memory image checksum mismatch "
+                        "(snapshot corrupt)"};
+  }
+  return util::Status::ok();
 }
 
 util::Expected<Snapshot> SnapshotManager::take(const Sandbox& sandbox) {
@@ -99,6 +180,8 @@ util::Expected<RestoreResult> SnapshotManager::restore_incremental(
     return util::Status{util::StatusCode::kFailedPrecondition,
                         "incremental restore: delta does not match base"};
   }
+  // Verified before the stopwatch, as in restore(): copy_time is the copy.
+  HORSE_RETURN_IF_ERROR(verify(base));
   RestoreResult result;
   util::Stopwatch watch;
   result.sandbox = std::make_unique<Sandbox>(next_id, base.config);
@@ -127,19 +210,7 @@ util::Expected<RestoreResult> SnapshotManager::restore_incremental(
 
 util::Expected<RestoreResult> SnapshotManager::restore(
     const Snapshot& snapshot, sched::SandboxId next_id) {
-  // Integrity gate: refuse an image whose checksum drifted from the one
-  // recorded at take() time. The fault site flips the computed value —
-  // equivalent to a single corrupted byte without damaging the caller's
-  // snapshot object.
-  std::uint64_t computed = compute_checksum(snapshot.memory_image);
-  if (HORSE_FAULT_POINT("snapshot.restore.corrupt")) {
-    computed = ~computed;
-  }
-  if (computed != snapshot.checksum) {
-    return util::Status{util::StatusCode::kInternal,
-                        "restore: memory image checksum mismatch "
-                        "(snapshot corrupt)"};
-  }
+  HORSE_RETURN_IF_ERROR(verify(snapshot));
 
   RestoreResult result;
 

@@ -89,14 +89,17 @@ class SnapshotManager {
   [[nodiscard]] util::Expected<Snapshot> take(const Sandbox& sandbox);
 
   /// Materialise a new sandbox from a snapshot. `next_id` is assigned to
-  /// the restored sandbox. Fails with kInternal when the image's FNV-1a
-  /// checksum does not match the one recorded at take() time (on-disk
-  /// corruption in a real deployment; the snapshot.restore.corrupt fault
-  /// site injects it here).
+  /// the restored sandbox. Every call hashes the whole image first and
+  /// fails with kInternal when the checksum does not match the one
+  /// recorded at take() time (on-disk corruption in a real deployment; the
+  /// snapshot.restore.corrupt fault site injects it here).
   [[nodiscard]] util::Expected<RestoreResult> restore(const Snapshot& snapshot,
                                                       sched::SandboxId next_id);
 
-  /// FNV-1a over the memory image; restore verifies integrity with it.
+  /// 64-bit checksum of the memory image: four lanes of 8-byte words with
+  /// an xxHash64-style round, the length mixed in, then an avalanche.
+  /// Detects every change confined to one aligned 8-byte word or one tail
+  /// byte; take() records it and restore verifies against it.
   [[nodiscard]] static std::uint64_t compute_checksum(
       const std::vector<std::byte>& image) noexcept;
 
@@ -108,13 +111,17 @@ class SnapshotManager {
       const Sandbox& sandbox, const Snapshot& base,
       const DirtyTracker& tracker);
 
-  /// Restore base + delta into a fresh sandbox. Fails when the delta was
-  /// taken against a different base (checksum mismatch).
+  /// Restore base + delta into a fresh sandbox. Fails with
+  /// kFailedPrecondition when the delta was taken against a different base
+  /// and with kInternal when the base image fails the restore() check.
   [[nodiscard]] util::Expected<RestoreResult> restore_incremental(
       const Snapshot& base, const DeltaSnapshot& delta,
       sched::SandboxId next_id);
 
  private:
+  /// The integrity gate both restores run before copying.
+  [[nodiscard]] static util::Status verify(const Snapshot& snapshot);
+
   VmmProfile profile_;
   util::Xoshiro256 rng_;
 };

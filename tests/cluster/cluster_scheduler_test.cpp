@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <cstring>
 #include <future>
+#include <mutex>
 #include <set>
 #include <thread>
 
 #include "held_function.hpp"
+#include "util/yield_point.hpp"
 #include "workloads/array_filter.hpp"
 #include "workloads/nat.hpp"
 
@@ -242,6 +246,89 @@ TEST(ClusterSchedulerTest, CountersReadDoesNotWaitForARunningBody) {
   EXPECT_EQ(answer.get().submitted, 1u);
   expect_all_ok(cluster.drain(), 1);
 }
+
+#if defined(HORSE_SCHED_TEST)
+
+// Holds the armed thread's next dispatch between route and submit (the
+// cluster.dispatch.routed yield point) until a health sweep on another
+// thread has finished. A sweep that has to wait for that dispatch never
+// finishes inside the window, so the hold gives up after a bound.
+struct RouteSubmitWindow {
+  static inline std::mutex mutex;
+  static inline std::condition_variable changed;
+  static inline bool held = false;
+  static inline bool sweep_done = false;
+  static inline thread_local bool armed = false;
+
+  static void hook(const char* site) noexcept {
+    if (!armed || std::strcmp(site, "cluster.dispatch.routed") != 0) {
+      return;
+    }
+    armed = false;
+    std::unique_lock lock(mutex);
+    held = true;
+    changed.notify_all();
+    changed.wait_for(lock, std::chrono::milliseconds(200),
+                     [] { return sweep_done; });
+  }
+};
+
+TEST(ClusterSchedulerTest, HostDeclaredDeadBetweenRouteAndSubmitStrandsNothing) {
+  ClusterConfig config =
+      make_config(2, DispatchMode::kPush, PolicyKind::kRoundRobin);
+  config.health_check_interval = 0;  // the one sweep is driven below
+  config.health.sweep_period = 0;
+  config.health.lease_duration = 0;
+  config.health.missed_to_death = 1;
+  // No half-open probe within the test: only the declare-dead steal can
+  // move a task off the dead host.
+  config.health.probe_backoff_base = 3600 * util::kSecond;
+  config.health.probe_backoff_cap = 3600 * util::kSecond;
+  ClusterScheduler cluster(config);
+  const auto filter = cluster.register_function(filter_spec);
+  ASSERT_TRUE(filter);
+  RouteSubmitWindow::held = false;
+  RouteSubmitWindow::sweep_done = false;
+  // Round robin: the first submission goes to host 0, the second to
+  // host 1, which has crashed but is not yet out of rotation.
+  cluster.submit(*filter, filter_request(), faas::StartMode::kCold);
+  cluster.host(1).crash();
+
+  util::set_yield_hook(&RouteSubmitWindow::hook);
+  std::thread submitter([&] {
+    RouteSubmitWindow::armed = true;
+    cluster.submit(*filter, filter_request(), faas::StartMode::kCold);
+  });
+  bool held = false;
+  {
+    std::unique_lock lock(RouteSubmitWindow::mutex);
+    held = RouteSubmitWindow::changed.wait_for(
+        lock, std::chrono::seconds(10), [] { return RouteSubmitWindow::held; });
+  }
+  // Routed to host 1 and not yet submitted: declare host 1 dead now.
+  std::thread sweeper([&] {
+    cluster.check_health();
+    std::lock_guard lock(RouteSubmitWindow::mutex);
+    RouteSubmitWindow::sweep_done = true;
+    RouteSubmitWindow::changed.notify_all();
+  });
+  submitter.join();
+  sweeper.join();
+  util::set_yield_hook(nullptr);
+  EXPECT_TRUE(held) << "no dispatch stopped at cluster.dispatch.routed";
+  EXPECT_EQ(cluster.counters().hosts_declared_dead, 1u);
+
+  auto drained = std::async(std::launch::async, [&] { return cluster.drain(); });
+  if (drained.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "a submission queued on host 1 after it was declared "
+                     "dead never ran";
+    cluster.host(1).force_recover();  // let drain() return
+  }
+  expect_all_ok(drained.get(), 2);
+}
+
+#endif  // HORSE_SCHED_TEST
 
 }  // namespace
 }  // namespace horse::cluster

@@ -120,6 +120,25 @@ TEST_F(IncrementalSnapshotTest, DeltaAgainstWrongBaseRejected) {
   ASSERT_TRUE(engine_.destroy(*sandbox).is_ok());
 }
 
+TEST_F(IncrementalSnapshotTest, CorruptBaseRejected) {
+  auto sandbox = make_paused(1);
+  const auto base = manager_.take(*sandbox);
+  ASSERT_TRUE(base.has_value());
+  DirtyTracker tracker(sandbox->guest_memory().size());
+  tracker.mark(0);
+  const auto delta = manager_.take_delta(*sandbox, *base, tracker);
+  ASSERT_TRUE(delta.has_value());
+
+  // Same lineage (the recorded checksum still matches the delta's), but
+  // one byte of the base image has rotted since take().
+  Snapshot rotten_base = *base;
+  rotten_base.memory_image[5 * DirtyTracker::kPageSize + 17] ^= std::byte{1};
+  const auto restored = manager_.restore_incremental(rotten_base, *delta, 2);
+  EXPECT_FALSE(restored.has_value());
+  EXPECT_EQ(restored.status().code(), util::StatusCode::kInternal);
+  ASSERT_TRUE(engine_.destroy(*sandbox).is_ok());
+}
+
 TEST_F(IncrementalSnapshotTest, DeltaRequiresPausedSandbox) {
   auto sandbox = make_paused(1);
   const auto base = manager_.take(*sandbox);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "sched/topology.hpp"
 #include "vmm/boot.hpp"
 #include "vmm/resume_engine.hpp"
@@ -79,6 +82,91 @@ TEST(SnapshotTest, ChecksumDetectsCorruption) {
   const auto original = SnapshotManager::compute_checksum(image);
   image[100] = std::byte{2};
   EXPECT_NE(SnapshotManager::compute_checksum(image), original);
+}
+
+// Deterministic, non-uniform content so neighbouring words differ.
+std::vector<std::byte> patterned_image(std::size_t size) {
+  std::vector<std::byte> image(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    image[i] = static_cast<std::byte>((i * 131 + (i >> 8) * 7 + 3) & 0xff);
+  }
+  return image;
+}
+
+TEST(ChecksumPropertyTest, EverySingleByteChangeIsDetected) {
+  for (const std::size_t size :
+       {0u, 1u, 7u, 31u, 32u, 33u, 4101u, 32768u}) {
+    std::vector<std::byte> image = patterned_image(size);
+    const auto original = SnapshotManager::compute_checksum(image);
+    for (std::size_t offset = 0; offset < size; ++offset) {
+      const std::byte saved = image[offset];
+      // Small images try every other value of the byte; large ones flip a
+      // bit that walks through all eight positions as the offset advances.
+      const unsigned first = size <= 33 ? 1 : 1u << (offset % 8);
+      const unsigned last = size <= 33 ? 255 : first;
+      for (unsigned delta = first; delta <= last; ++delta) {
+        image[offset] = saved ^ static_cast<std::byte>(delta);
+        ASSERT_NE(SnapshotManager::compute_checksum(image), original)
+            << "size " << size << " offset " << offset << " xor " << delta;
+      }
+      image[offset] = saved;
+    }
+    EXPECT_EQ(SnapshotManager::compute_checksum(image), original);
+  }
+}
+
+TEST(ChecksumPropertyTest, TopBitFlipsInTwoWordsOfOneLaneAreDetected) {
+  // Words 0 and 4 (and 1 and 9) land in the same lane of the 32-byte
+  // stripe. Under a plain `(h ^ w) * p` a bit-63 difference passes through
+  // the multiply unchanged, so the second flip would cancel the first.
+  std::vector<std::byte> image = patterned_image(4096);
+  const auto original = SnapshotManager::compute_checksum(image);
+  const auto flip_bit63 = [&image](std::size_t word) {
+    std::uint64_t value;
+    std::memcpy(&value, image.data() + word * 8, 8);
+    value ^= std::uint64_t{1} << 63;
+    std::memcpy(image.data() + word * 8, &value, 8);
+  };
+  for (const auto& [a, b] : {std::pair{0, 4}, std::pair{1, 9},
+                             std::pair{2, 126}}) {
+    flip_bit63(a);
+    flip_bit63(b);
+    EXPECT_NE(SnapshotManager::compute_checksum(image), original)
+        << "words " << a << " and " << b;
+    flip_bit63(a);
+    flip_bit63(b);
+  }
+  EXPECT_EQ(SnapshotManager::compute_checksum(image), original);
+}
+
+TEST(ChecksumPropertyTest, LengthIsPartOfTheChecksum) {
+  for (std::size_t n = 0; n <= 130; ++n) {
+    const std::vector<std::byte> shorter(n, std::byte{0});
+    const std::vector<std::byte> longer(n + 1, std::byte{0});
+    EXPECT_NE(SnapshotManager::compute_checksum(shorter),
+              SnapshotManager::compute_checksum(longer))
+        << n << " vs " << n + 1 << " zero bytes";
+  }
+}
+
+TEST(ChecksumPropertyTest, Deterministic) {
+  const std::vector<std::byte> image = patterned_image(32768);
+  const std::vector<std::byte> copy = image;
+  const auto first = SnapshotManager::compute_checksum(image);
+  EXPECT_EQ(SnapshotManager::compute_checksum(image), first);
+  EXPECT_EQ(SnapshotManager::compute_checksum(copy), first);
+}
+
+TEST(SnapshotTest, RestoreRefusesOneFlippedByte) {
+  SnapshotManager manager(VmmProfile::firecracker());
+  Snapshot snapshot;
+  snapshot.config = small_config();
+  snapshot.memory_image = patterned_image(32768);
+  snapshot.checksum = SnapshotManager::compute_checksum(snapshot.memory_image);
+  snapshot.memory_image[12345] ^= std::byte{0x10};
+  const auto restored = manager.restore(snapshot, 5);
+  ASSERT_FALSE(restored.has_value());
+  EXPECT_EQ(restored.status().code(), util::StatusCode::kInternal);
 }
 
 TEST(SnapshotTest, RestoredSandboxIsStartable) {
